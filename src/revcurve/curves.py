@@ -4,21 +4,25 @@ for the set of near-optimal prices.
 Reproducibility contract: trial t of a curve point at sample size n is driven
 by Generator(Philox(SeedSequence((base_seed, n, t)))).  The per-trial seeding
 is counter-based, so results are bit-identical regardless of how trials are
-scheduled across parallel workers.
+scheduled across parallel workers.  With workers > 1 a run opens one spawn
+process pool for its whole grid; each worker receives the caller's learner and
+distribution once, pickled and checked before any process starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import pickle
 from dataclasses import dataclass
+from itertools import repeat
 from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
 
 from .dist import Distribution, FinitePMF
-from .learners import Learner, parse_learner
+from .learners import Learner
 
 __all__ = [
     "CurvePoint",
@@ -142,29 +146,53 @@ def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, b
     return revs
 
 
-def _worker_revenues(args) -> tuple[int, np.ndarray]:
-    learner_spec, dist_doc, n, start, stop, base_seed = args
-    learner = parse_learner(learner_spec)
-    dist = Distribution.from_dict(dist_doc)
-    return start, _trial_revenues(learner, dist, n, range(start, stop), base_seed)
+_worker_inputs: tuple[Learner, Distribution] | None = None  # set once in each pool worker
 
 
-def _all_revenues(learner: Learner, dist: Distribution, n: int, trials: int, base_seed: int, workers: int) -> np.ndarray:
+def _init_worker(payload: bytes) -> None:
+    global _worker_inputs
+    _worker_inputs = pickle.loads(payload)
+
+
+def _worker_revenues(n: int, start: int, stop: int, base_seed: int) -> np.ndarray:
+    learner, dist = _worker_inputs
+    return _trial_revenues(learner, dist, n, range(start, stop), base_seed)
+
+
+def _revenue_stats(learner, dist, grid, trials, base_seed, workers) -> list[tuple[int, float, float]]:
+    """(n, mean revenue, std err) per grid point, all points in one pool when workers > 1."""
+    grid = [int(n) for n in grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
+        raise ValueError("sample-size grid must be nonempty and strictly increasing")
+    if trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
     if workers <= 1:
-        return _trial_revenues(learner, dist, n, range(trials), base_seed)
-    if learner.spec is None:
-        raise ValueError("parallel estimation needs a spec-representable learner (workers=1 otherwise)")
-    dist_doc = dist.to_dict()
-    chunk = max(1, math.ceil(trials / (workers * 4)))
-    jobs = [
-        (learner.spec, dist_doc, n, start, min(start + chunk, trials), base_seed)
-        for start in range(0, trials, chunk)
-    ]
-    revs = np.empty(trials)
-    with get_context("spawn").Pool(workers) as pool:
-        for start, part in pool.imap_unordered(_worker_revenues, jobs):
-            revs[start : start + part.size] = part
-    return revs
+        revs = [_trial_revenues(learner, dist, n, range(trials), base_seed) for n in grid]
+    else:
+        try:
+            payload = pickle.dumps((learner, dist))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(f"workers > 1 needs a picklable learner and distribution ({exc}); use workers=1") from exc
+        from concurrent.futures import ProcessPoolExecutor  # here, so in-process runs skip its import cost
+
+        chunk = max(1, math.ceil(trials / (workers * 4)))
+        jobs = [(n, start, min(start + chunk, trials)) for n in grid for start in range(0, trials, chunk)]
+        with ProcessPoolExecutor(workers, get_context("spawn"), initializer=_init_worker, initargs=(payload,)) as pool:
+            parts = list(pool.map(_worker_revenues, *zip(*jobs), repeat(base_seed)))
+        per_n = len(parts) // len(grid)
+        revs = [np.concatenate(parts[i : i + per_n]) for i in range(0, len(parts), per_n)]
+    return [(n, float(np.mean(r)), float(np.std(r, ddof=1) / math.sqrt(trials))) for n, r in zip(grid, revs)]
+
+
+def _gap_points(learner, dist, grid, trials, base_seed, workers) -> tuple[CurvePoint, ...]:
+    opt = dist.optimal_revenue()
+    if not math.isfinite(opt.value):
+        raise GapUndefinedError(
+            f"optimal revenue of {dist.label} is infinite; use expected_revenue_curve() "
+            "to track revenue growth instead"
+        )
+    stats = _revenue_stats(learner, dist, grid, trials, base_seed, workers)
+    return tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=trials) for n, mean, se in stats)
 
 
 def estimate_gap(
@@ -180,18 +208,7 @@ def estimate_gap(
     The gap is evaluated against the true distribution (exact revenue of the
     returned price), never against a held-out empirical estimate.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    opt = dist.optimal_revenue()
-    if not math.isfinite(opt.value):
-        raise GapUndefinedError(
-            f"optimal revenue of {dist.label} is infinite; use expected_revenue_curve() "
-            "to track revenue growth instead"
-        )
-    revs = _all_revenues(learner, dist, n, trials, base_seed, workers)
-    mean_gap = opt.value - float(np.mean(revs))
-    std_err = float(np.std(revs, ddof=1) / math.sqrt(trials))
-    return CurvePoint(n=n, mean_gap=mean_gap, std_err=std_err, trials=trials)
+    return _gap_points(learner, dist, [n], trials, base_seed, workers)[0]
 
 
 def learning_curve(
@@ -202,10 +219,7 @@ def learning_curve(
     base_seed: int,
     workers: int = 1,
 ) -> LearningCurve:
-    grid = [int(n) for n in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
-        raise ValueError("sample-size grid must be nonempty and strictly increasing")
-    points = tuple(estimate_gap(learner, dist, n, trials, base_seed, workers) for n in grid)
+    points = _gap_points(learner, dist, grid, trials, base_seed, workers)
     return LearningCurve(learner.name, dist.label, points, base_seed)
 
 
@@ -219,11 +233,7 @@ def expected_revenue_curve(
 ) -> list[tuple[int, float, float]]:
     """(n, mean revenue, std err) per grid point; the consistency harness for
     distributions whose optimal revenue is infinite."""
-    out = []
-    for n in grid:
-        revs = _all_revenues(learner, dist, int(n), trials, base_seed, workers)
-        out.append((int(n), float(np.mean(revs)), float(np.std(revs, ddof=1) / math.sqrt(trials))))
-    return out
+    return _revenue_stats(learner, dist, grid, trials, base_seed, workers)
 
 
 # -- rate fits ---------------------------------------------------------------

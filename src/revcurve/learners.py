@@ -77,7 +77,7 @@ class Learner:
     decide: Callable[[np.ndarray, int, Optional[np.random.Generator]], float]
     deterministic: bool = True
     config: Optional[GrowthFns] = None
-    spec: Optional[str] = None  # reconstructable CLI spec, needed for parallel workers
+    spec: Optional[str] = None  # CLI-style description; parse_learner(spec) may differ for a custom GrowthFns
 
 
 def _unique_revenues(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:

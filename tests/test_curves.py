@@ -1,4 +1,8 @@
+import concurrent.futures
 import math
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -16,8 +20,38 @@ from revcurve.curves import (
     learning_curve,
     t_eps,
 )
-from revcurve.dist import Distribution, TailRuleDist, two_point, zoo
-from revcurve.learners import make_erm, make_structural, make_truncated, parse_learner
+from revcurve.dist import ContinuousDist, Distribution, TailRuleDist, parse_dist, two_point, zoo
+from revcurve.learners import (
+    GrowthFns,
+    Learner,
+    _f_quarter,
+    make_capped,
+    make_erm,
+    make_structural,
+    make_truncated,
+    parse_learner,
+)
+
+
+# Module level, so spawn workers can unpickle them by reference.
+def _g_three(n):
+    return 3.0
+
+
+def _exp10_cdf(p):
+    return 1.0 - np.exp(-np.maximum(np.asarray(p, dtype=np.float64), 0.0) / 10.0)
+
+
+def _exp10_quantile(u):
+    return -10.0 * np.log1p(-np.asarray(u, dtype=np.float64))
+
+
+def _exit_decide(values, n, rng):
+    os._exit(3)
+
+
+def exp_mean_10(cdf=_exp10_cdf, quantile=_exp10_quantile):
+    return Distribution("exp(mean 10)", ContinuousDist("exponential_mean_10", cdf, quantile))
 
 
 def delta_grid_oracle(dist, eps, step=1e-5):
@@ -80,6 +114,48 @@ class TestEstimateGap:
         par = estimate_gap(lr, d, n=50, trials=64, base_seed=9, workers=2)
         assert seq == par
 
+    def test_worker_count_invariance_custom_growth(self):
+        # the spec "capped:g=sqrt" names the default cap; workers must get g = 3 itself
+        lr = make_capped(GrowthFns(g=_g_three, f=_f_quarter))
+        d = parse_dist("finite:1@0.2,10@0.79,1000@0.01")
+        seq = estimate_gap(lr, d, n=200, trials=40, base_seed=3, workers=1)
+        par = estimate_gap(lr, d, n=200, trials=40, base_seed=3, workers=2)
+        assert seq == par
+        assert seq.mean_gap == pytest.approx(10.0 - 3.0 * 0.8)
+
+    def test_worker_count_invariance_law_outside_zoo(self):
+        d = exp_mean_10()
+        seq = estimate_gap(make_erm(), d, n=100, trials=20, base_seed=1, workers=1)
+        par = estimate_gap(make_erm(), d, n=100, trials=20, base_seed=1, workers=2)
+        assert seq == par
+
+    def test_unpicklable_inputs_fail_before_any_process(self, monkeypatch):
+        def no_executor(*args, **kwargs):
+            raise AssertionError("an executor was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+        d = exp_mean_10(cdf=lambda p: _exp10_cdf(p), quantile=lambda u: _exp10_quantile(u))
+        with pytest.raises(ValueError, match="workers=1"):
+            estimate_gap(make_erm(), d, n=100, trials=20, base_seed=1, workers=2)
+        in_process = estimate_gap(make_erm(), d, n=100, trials=20, base_seed=1)
+        assert in_process == estimate_gap(make_erm(), exp_mean_10(), n=100, trials=20, base_seed=1)
+
+    def test_dead_worker_raises_broken_pool(self):
+        lr = Learner(name="exits", decide=_exit_decide)
+        outcome = []
+
+        def run():
+            try:
+                estimate_gap(lr, zoo("uniform01"), n=10, trials=8, base_seed=1, workers=2)
+            except BaseException as exc:  # handed to the test thread below
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "a dead worker left the pool hanging"
+        assert len(outcome) == 1 and isinstance(outcome[0], BrokenProcessPool)
+
     def test_two_point_erm_small_gap_at_200(self):
         pt = estimate_gap(make_erm(), two_point(1.0, 3.0, 2.0), n=200, trials=2000, base_seed=11)
         assert pt.mean_gap <= 0.02
@@ -141,6 +217,23 @@ class TestLearningCurve:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             learning_curve(make_erm(), zoo("uniform01"), [100, 10], trials=10, base_seed=1)
+
+    @pytest.mark.parametrize("fn", [learning_curve, expected_revenue_curve])
+    @pytest.mark.parametrize(
+        "grid,trials,match",
+        [([], 10, "grid"), ([100, 10], 10, "grid"), ([10, 10], 10, "grid"), ([10, 100], 1, "2 trials")],
+    )
+    def test_inputs_validated(self, fn, grid, trials, match):
+        with pytest.raises(ValueError, match=match):
+            fn(make_erm(), zoo("uniform01"), grid, trials=trials, base_seed=1)
+
+    def test_worker_count_invariance_whole_grid(self):
+        d = zoo("erm_hard")
+        seq = learning_curve(make_structural(), d, [16, 64, 256], trials=30, base_seed=2, workers=1)
+        par = learning_curve(make_structural(), d, [16, 64, 256], trials=30, base_seed=2, workers=2)
+        assert seq == par
+        rows = expected_revenue_curve(make_erm(), d, [16, 64, 256], trials=30, base_seed=2, workers=2)
+        assert rows == expected_revenue_curve(make_erm(), d, [16, 64, 256], trials=30, base_seed=2)
 
     def test_uniform_erm_monotone_up_to_noise(self):
         curve = learning_curve(make_erm(), zoo("uniform01"), [100, 1000, 10000], trials=800, base_seed=6)
