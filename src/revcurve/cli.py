@@ -67,6 +67,11 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         doc = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {args.config!r} must hold a JSON object")
+    unknown = sorted(set(doc) - (set(vars(args)) - {"command", "func"}))
+    if unknown:
+        raise ConfigError(f"config {args.config!r} has keys with no {args.command} flag: {', '.join(unknown)}")
     for key, value in doc.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)

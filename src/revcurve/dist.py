@@ -328,8 +328,8 @@ class Distribution:
 
     def revenue(self, p: float) -> float:
         """Expected payment p * Pr[v >= p] of posting price p."""
-        if p < 0.0:
-            raise ValueError("price must be nonnegative")
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"price must be finite and nonnegative, got {p!r}")
         return p * self.variant.survival(p, strict=False)
 
     def optimal_revenue(self, search: OptSearch | None = None) -> OptResult:

@@ -34,6 +34,8 @@ class Sample:
             raise ValueError("sample values must form a 1-D array")
         if v.size and float(v.min()) < 0.0:
             raise ValueError("valuations must be nonnegative")
+        if v.size and not math.isfinite(float(v.max())):  # max is NaN if any value is
+            raise ValueError("valuations must be finite")
         object.__setattr__(self, "values", v)
 
     @property
@@ -61,6 +63,8 @@ class EmpiricalDist:
             raise ValueError("cannot build an empirical distribution from an empty sample")
         if float(v[0]) < 0.0:
             raise ValueError("valuations must be nonnegative")
+        if not math.isfinite(float(v[-1])):  # NaN sorts last
+            raise ValueError("valuations must be finite")
         return cls(sorted_values=v, n=int(v.size))
 
     def count_geq(self, p: float) -> int:

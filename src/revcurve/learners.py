@@ -1,7 +1,13 @@
 """Pricing algorithms: plain, truncated, capped and structural empirical
 revenue maximization, all exposed through one Learner record.
 
-Every variant ties broken prices toward the smaller one; tail events inflate
+All four read the sample through one revenue kernel: the distinct sorted
+values u with their empirical revenues u * #{v >= u} / n, taken from the first
+copy of each value in the already-sorted sample.  ERM takes the first maximum,
+capped ERM (truncated ERM is capped at max(ln n, 1)) adds the cap itself as a
+candidate, and structural ERM scans the same revenues with its margin.
+
+Every variant breaks ties toward the smaller price; tail events inflate
 large prices, so the bias is the safe direction.  A learner's decide() is a
 pure function of (sample values, n, rng), which is what makes the Monte Carlo
 machinery reproducible and parallelizable.
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import math
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,18 +49,26 @@ class LearnerProcessError(RuntimeError):
 
 @dataclass(frozen=True)
 class GrowthFns:
-    """Price-cap growth g(n) and confidence scale f(n), with f(n)^2 * n >= g(n) for n >= n0."""
+    """Price-cap growth g(n) and confidence scale f(n), with f(n)^2 * n >= g(n) for n >= n0.
+
+    An omitted name is taken from the function itself (its __name__, else its repr).
+    """
 
     g: Callable[[int], float]
     f: Callable[[int], float]
-    g_name: str = "sqrt"
-    f_name: str = "n^-0.25"
+    g_name: Optional[str] = None
+    f_name: Optional[str] = None
     n0: int = 1
+
+    def __post_init__(self):
+        for attr, fn in (("g_name", self.g), ("f_name", self.f)):
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, getattr(fn, "__name__", None) or repr(fn))
 
 
 def default_growth() -> GrowthFns:
     # g = sqrt(n), f = n^-1/4 satisfies f^2 * n = g with equality from n0 = 1
-    return GrowthFns(g=_g_sqrt, f=_f_quarter)
+    return GrowthFns(g=_g_sqrt, f=_f_quarter, g_name="sqrt", f_name="n^-0.25")
 
 
 def _g_sqrt(n: int) -> float:
@@ -77,14 +91,15 @@ class Learner:
     decide: Callable[[np.ndarray, int, Optional[np.random.Generator]], float]
     deterministic: bool = True
     config: Optional[GrowthFns] = None
-    spec: Optional[str] = None  # CLI-style description; parse_learner(spec) may differ for a custom GrowthFns
 
 
-def _unique_revenues(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sample values with their empirical revenues, ascending."""
-    u, counts = np.unique(e.sorted_values, return_counts=True)
-    c_geq = counts[::-1].cumsum()[::-1]  # suffix counts: #{v_i >= u_j}
-    return u, u * c_geq / e.n
+def _revenues(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sample values u, ascending, with their empirical revenues
+    u * #{v >= u} / n; first[j] is the sorted index of u[j]'s first copy."""
+    v = e.sorted_values
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    u = v[first]
+    return u, u * (e.n - first) / e.n
 
 
 def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
@@ -97,34 +112,30 @@ def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
     return np.unique(np.append(kept, cap))
 
 
-def _argmax_low(prices: np.ndarray, revenues: np.ndarray) -> float:
-    """Smallest price among the empirical-revenue maximizers."""
-    return float(prices[int(np.argmax(revenues))])  # argmax returns the first maximum
-
-
 def erm(e: EmpiricalDist) -> float:
     """Smallest sample value maximizing empirical revenue."""
-    u, rev = _unique_revenues(e)
-    return _argmax_low(u, rev)
-
-
-def _best_on(e: EmpiricalDist, cap: float) -> float:
-    cands = candidate_set(e, cap)
-    counts = e.n - np.searchsorted(e.sorted_values, cands, side="left")
-    return _argmax_low(cands, cands * counts / e.n)
+    u, rev = _revenues(e)
+    return float(u[int(np.argmax(rev))])  # argmax returns the first maximum
 
 
 def truncated_erm(e: EmpiricalDist, n: int) -> float:
     """ERM restricted to prices at most max(ln n, 1)."""
-    return _best_on(e, max(math.log(n), 1.0))
+    return capped_erm(e, n, _g_log)
 
 
 def capped_erm(e: EmpiricalDist, n: int, g: Callable[[int], float]) -> float:
-    """ERM restricted to prices at most g(n)."""
+    """ERM restricted to prices at most g(n): the best of the sample values
+    below the cap and the cap itself, the smaller price winning a tie."""
     cap = g(n)
     if cap <= 0.0:
         raise ValueError("growth function must be positive at n")
-    return _best_on(e, cap)
+    u, rev = _revenues(e)
+    k = int(np.searchsorted(u, cap, side="right"))
+    if k:
+        best = int(np.argmax(rev[:k]))
+        if rev[best] >= cap * e.count_geq(cap) / e.n:
+            return float(u[best])
+    return float(cap)
 
 
 def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float:
@@ -139,7 +150,7 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
     fn = f(n)
     if fn < 0.0:
         raise ValueError("confidence scale must be nonnegative")
-    u, rev = _unique_revenues(e)
+    u, rev = _revenues(e)
     if u.size == 1:
         return float(u[0])
     # handicap[j] = max over values before j of rev + u*f(n); value j wins iff
@@ -152,36 +163,20 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
 # -- learner records ---------------------------------------------------------
 
 
-def _decide_erm(values, n, rng):
-    return erm(EmpiricalDist.from_values(values))
-
-
-def _decide_truncated(values, n, rng):
-    return truncated_erm(EmpiricalDist.from_values(values), n)
-
-
-def make_erm() -> Learner:
-    return Learner(name="erm", decide=_decide_erm, spec="erm")
-
-
-def make_truncated() -> Learner:
-    return Learner(name="truncated", decide=_decide_truncated, spec="truncated")
-
-
 @dataclass(frozen=True)
-class _CappedDecide:
-    growth: GrowthFns
+class _ErmDecide:
+    """Plain ERM, capped at cap(n), or structural with confidence scale(n)."""
+
+    cap: Optional[Callable[[int], float]] = None
+    scale: Optional[Callable[[int], float]] = None
 
     def __call__(self, values, n, rng):
-        return capped_erm(EmpiricalDist.from_values(values), n, self.growth.g)
-
-
-@dataclass(frozen=True)
-class _StructuralDecide:
-    growth: GrowthFns
-
-    def __call__(self, values, n, rng):
-        return structural_erm(EmpiricalDist.from_values(values), n, self.growth.f)
+        e = EmpiricalDist.from_values(values)
+        if self.scale is not None:
+            return structural_erm(e, n, self.scale)
+        if self.cap is not None:
+            return capped_erm(e, n, self.cap)
+        return erm(e)
 
 
 @dataclass(frozen=True)
@@ -192,28 +187,26 @@ class _ConstantDecide:
         return self.price
 
 
-def make_capped(growth: GrowthFns | None = None, spec: str | None = None) -> Learner:
-    growth = growth or default_growth()
-    return Learner(
-        name=f"capped[g={growth.g_name}]",
-        decide=_CappedDecide(growth),
-        config=growth,
-        spec=spec or f"capped:g={growth.g_name}",
-    )
+def make_erm() -> Learner:
+    return Learner(name="erm", decide=_ErmDecide())
 
 
-def make_structural(growth: GrowthFns | None = None, spec: str | None = None) -> Learner:
+def make_truncated() -> Learner:
+    return Learner(name="truncated", decide=_ErmDecide(cap=_g_log))
+
+
+def make_capped(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return Learner(
-        name=f"structural[f={growth.f_name}]",
-        decide=_StructuralDecide(growth),
-        config=growth,
-        spec=spec or f"structural:f={growth.f_name}",
-    )
+    return Learner(name=f"capped[g={growth.g_name}]", decide=_ErmDecide(cap=growth.g), config=growth)
+
+
+def make_structural(growth: GrowthFns | None = None) -> Learner:
+    growth = growth or default_growth()
+    return Learner(name=f"structural[f={growth.f_name}]", decide=_ErmDecide(scale=growth.f), config=growth)
 
 
 def make_constant(price: float) -> Learner:
-    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price), spec=f"const:{price!r}")
+    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price))
 
 
 @dataclass(frozen=True)
@@ -238,12 +231,7 @@ class _SubprocessDecide:
 
 def make_subprocess(command: list[str] | tuple[str, ...], deterministic: bool = False) -> Learner:
     cmd = tuple(command)
-    return Learner(
-        name=f"cmd[{' '.join(cmd)}]",
-        decide=_SubprocessDecide(cmd),
-        deterministic=deterministic,
-        spec="cmd:" + " ".join(cmd),
-    )
+    return Learner(name=f"cmd[{' '.join(cmd)}]", decide=_SubprocessDecide(cmd), deterministic=deterministic)
 
 
 def _parse_growth(expr: str, kind: str) -> tuple[Callable[[int], float], str]:
@@ -286,24 +274,16 @@ def parse_learner(spec: str) -> Learner:
         return make_erm()
     if name == "truncated":
         return make_truncated()
-    if name == "capped":
+    if name in ("capped", "structural"):
+        key, kind, make = ("g", "growth", make_capped) if name == "capped" else ("f", "confidence", make_structural)
         growth = default_growth()
         if arg:
-            key, _, expr = arg.partition("=")
-            if key != "g":
-                raise ValueError(f"capped learner takes g=<fn>, got {arg!r}")
-            g, g_name = _parse_growth(expr, "growth")
-            growth = GrowthFns(g=g, f=growth.f, g_name=g_name, f_name=growth.f_name)
-        return make_capped(growth, spec=spec)
-    if name == "structural":
-        growth = default_growth()
-        if arg:
-            key, _, expr = arg.partition("=")
-            if key != "f":
-                raise ValueError(f"structural learner takes f=<fn>, got {arg!r}")
-            f, f_name = _parse_growth(expr, "confidence")
-            growth = GrowthFns(g=growth.g, f=f, g_name=growth.g_name, f_name=f_name)
-        return make_structural(growth, spec=spec)
+            got, _, expr = arg.partition("=")
+            if got != key:
+                raise ValueError(f"{name} learner takes {key}=<fn>, got {arg!r}")
+            fn, fn_name = _parse_growth(expr, kind)
+            growth = replace(growth, **{key: fn, f"{key}_name": fn_name})
+        return make(growth)
     if name == "const":
         return make_constant(float(arg))
     if name == "cmd":

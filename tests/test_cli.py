@@ -95,6 +95,18 @@ class TestCurveCommand:
         curve = LearningCurve.from_csv(tmp_path / "from_config" / "curve.csv")
         assert curve.points[0].trials == 25  # the flag beat the config file
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"learner": "erm", "dist": "uniform01", "grid": "50,100", "trails": 5}, "trails"),
+        (["learner", "erm"], "JSON object"),
+    ])
+    def test_config_file_unknown_key_exit_2(self, tmp_path, capsys, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "from_config"
+        code, _, err = run_cli(["curve", "--config", str(cfg), "--trials", "25", "--out", str(out)], capsys)
+        assert code == 2 and "config error" in err and named in err
+        assert not out.exists()
+
     def test_infeasible_dist_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["curve", "--learner", "erm", "--dist", "two_point:p=1,p_prime=3,c=4",

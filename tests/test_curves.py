@@ -26,6 +26,7 @@ from revcurve.learners import (
     Learner,
     _f_quarter,
     make_capped,
+    make_constant,
     make_erm,
     make_structural,
     make_truncated,
@@ -183,6 +184,12 @@ class TestEstimateGap:
         for lr, d in pairs:
             pt = estimate_gap(lr, d, n=30, trials=500, base_seed=13)
             assert pt.mean_gap >= -3.0 * pt.std_err, (lr.name, d.label)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_non_finite_price_raises(self, price, workers):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_gap(make_constant(price), zoo("uniform01"), n=10, trials=5, base_seed=1, workers=workers)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,13 @@ class TestEmpiricalDist:
         with pytest.raises(ValueError):
             Sample(np.array([-1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Sample(np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            EmpiricalDist.from_values([bad, 1.0, 2.0])
+
     def test_sample_csv_roundtrip(self, tmp_path):
         s = Sample(np.array([0.1, 2.25, 17.0]))
         path = tmp_path / "s.csv"

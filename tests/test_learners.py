@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcurve.empirical import EmpiricalDist
 from revcurve.learners import (
@@ -12,7 +14,9 @@ from revcurve.learners import (
     capped_erm,
     default_growth,
     erm,
+    make_capped,
     make_constant,
+    make_structural,
     make_subprocess,
     parse_learner,
     structural_erm,
@@ -34,6 +38,61 @@ def brute_force_erm(vals, cap=None):
         if rev > best_rev + 1e-15:
             best_p, best_rev = p, rev
     return best_p
+
+
+# Reference implementation: the np.unique / candidate-set / searchsorted
+# revenue code the learners used before they shared one revenue kernel.
+
+
+def ref_unique_revenues(emp):
+    u, counts = np.unique(emp.sorted_values, return_counts=True)
+    c_geq = counts[::-1].cumsum()[::-1]
+    return u, u * c_geq / emp.n
+
+
+def ref_best_on(emp, cap):
+    vals = emp.sorted_values
+    cands = np.unique(np.append(vals[vals <= cap], cap))
+    counts = emp.n - np.searchsorted(vals, cands, side="left")
+    return float(cands[int(np.argmax(cands * counts / emp.n))])
+
+
+def ref_erm(emp):
+    u, rev = ref_unique_revenues(emp)
+    return float(u[int(np.argmax(rev))])
+
+
+def ref_structural(emp, fn):
+    u, rev = ref_unique_revenues(emp)
+    if u.size == 1:
+        return float(u[0])
+    handicap = np.maximum.accumulate(rev + u * fn)
+    wins = np.flatnonzero(rev[1:] > handicap[:-1] + u[1:] * fn)
+    return float(u[wins[-1] + 1]) if wins.size else float(u[0])
+
+
+@st.composite
+def tie_heavy_sample(draw):
+    """Values on a coarse grid (many ties, steps not all exact in binary) and a
+    positive cap that is often one of the sample's own values."""
+    step = draw(st.sampled_from([1.0, 0.25, 0.1, 1 / 3, 2.5]))
+    vals = np.asarray(draw(st.lists(st.integers(0, 12), min_size=1, max_size=40)), dtype=float) * step
+    positive = sorted(set(vals[vals > 0].tolist()))
+    free_cap = st.floats(min_value=1e-3, max_value=40.0)
+    cap = draw(st.one_of(st.sampled_from(positive), free_cap) if positive else free_cap)
+    return vals, cap
+
+
+class TestRevenueKernelMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_sample(), st.integers(1, 10**6), st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.3, 1.0]))
+    def test_prices_equal_reference(self, sample, n, fn):
+        vals, cap = sample
+        emp = e(vals)
+        assert erm(emp) == ref_erm(emp)
+        assert truncated_erm(emp, n) == ref_best_on(emp, max(math.log(n), 1.0))
+        assert capped_erm(emp, n, lambda m: cap) == ref_best_on(emp, cap)
+        assert structural_erm(emp, n, lambda m: fn) == ref_structural(emp, fn)
 
 
 class TestCandidateSet:
@@ -187,6 +246,24 @@ class TestGrowthFns:
         cfg = lr.config
         for n in range(cfg.n0, 100):
             assert cfg.f(n) ** 2 * n >= cfg.g(n) - 1e-12
+
+
+    def test_custom_functions_name_the_learner(self):
+        def three(n):
+            return 3.0
+
+        class Scale:
+            def __call__(self, n):
+                return 0.1
+
+            def __repr__(self):
+                return "Scale(0.1)"
+
+        growth = GrowthFns(g=three, f=Scale())
+        assert (growth.g_name, growth.f_name) == ("three", "Scale(0.1)")
+        assert make_capped(growth).name == "capped[g=three]"
+        assert make_structural(growth).name == "structural[f=Scale(0.1)]"
+        assert make_capped(GrowthFns(g=three, f=Scale(), g_name="3")).name == "capped[g=3]"
 
 
 class TestParseLearner:
