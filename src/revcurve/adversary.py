@@ -51,12 +51,6 @@ class RateFn:
     phi: tuple[float, ...]
     R: tuple[float, ...]
 
-    def phi_at(self, j: int) -> float:
-        return self.phi[j - 1]
-
-    def R_at(self, j: int) -> float:
-        return self.R[j - 1]
-
 
 def monotone_envelope(phi: Callable[[int], float], horizon: int) -> RateFn:
     """R(1) = phi(1); R(j) = phi(j) when phi(j) <= R(j-1), else R(j-1).
@@ -203,7 +197,7 @@ def build_slow_rate_distribution(
     bounds: list[float] = []
     probe_stats: dict = {"levels": []}
     for j in range(2, depth + 1):
-        r_prev = rate.R_at(j - 1)
+        r_prev = rate.R[j - 2]
         support = points[: j - 1]
         total = (j - 1) ** (j - 1)
         if total > probe.max_datasets_per_level:
@@ -405,7 +399,7 @@ def verify_gadget(
         raise GadgetStructureError(f"condition 3 violated: D([x_pq+gamma^2, x-gamma^2]) = {dead!r} != 0")
 
     atoms = dist.candidate_points()
-    opt = float(np.max(atoms * np.array([dist.survival(float(a)) for a in atoms])))
+    opt = dist.optimal_revenue().value
     side = sweep_side or ("low" if sigma == -1 else "high")
     if side == "low":
         grid = np.linspace(0.0, gp.midpoint, grid_points)
@@ -415,7 +409,7 @@ def verify_gadget(
         cand = np.concatenate([grid, atoms[atoms >= gp.midpoint], [gp.midpoint]])
     else:
         raise ValueError("sweep_side must be 'low' or 'high'")
-    revs = np.array([float(p) * dist.survival(float(p)) for p in cand])
+    revs = np.array([dist.revenue(float(p)) for p in cand])
     worst = int(np.argmax(revs))
     margin = opt - float(revs[worst])
     return GadgetReport(

@@ -14,6 +14,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +61,12 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from --config JSON; explicit flags win."""
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from --config JSON; explicit flags win.
+
+    Each value goes through its flag's type as if it were typed on the command
+    line; a JSON list stands for its comma-joined items.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -72,9 +78,15 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     unknown = sorted(set(doc) - (set(vars(args)) - {"command", "func"}))
     if unknown:
         raise ConfigError(f"config {args.config!r} has keys with no {args.command} flag: {', '.join(unknown)}")
+    types = {action.dest: action.type for action in parser._actions}
     for key, value in doc.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        if value is None or getattr(args, key) is not None:
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            setattr(args, key, types[key](text))
+        except ValueError as exc:
+            raise ConfigError(f"config {args.config!r}: bad {key} value {value!r}: {exc}") from exc
 
 
 # -- SVG ----------------------------------------------------------------------
@@ -127,18 +139,18 @@ def _svg_log_log(points: list[tuple[float, float]], title: str) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_curve(args) -> int:
-    _apply_config_file(args)
+def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
+    _apply_config_file(args, parser)
     for key in ("learner", "dist", "grid", "trials"):
         if getattr(args, key, None) is None:
             raise ConfigError(f"curve needs --{key} (flag or config file)")
     learner = parse_learner(args.learner)
     dist = parse_dist(args.dist)
-    grid = _parse_grid(args.grid) if isinstance(args.grid, str) else list(args.grid)
+    grid = _parse_grid(args.grid)
     seed = _base_seed(args)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    curve = curves.learning_curve(learner, dist, grid, int(args.trials), seed, workers=_workers(args))
+    curve = curves.learning_curve(learner, dist, grid, args.trials, seed, workers=_workers(args))
     curve.to_csv(out / "curve.csv")
     (out / "curve.json").write_text(curve.to_json() + "\n")
     (out / "curve.svg").write_text(_svg_log_log([(p.n, p.mean_gap) for p in curve.points], f"{curve.learner_name} on {curve.dist_label}"))
@@ -197,16 +209,7 @@ def _cmd_adversary(args) -> int:
 def _cmd_gadget(args) -> int:
     gp = adversary.uniform_gadget(args.x, args.q, args.p, args.gamma)
     seed = _base_seed(args)
-    doc: dict = {
-        "x": gp.x,
-        "q": gp.q,
-        "p": gp.p,
-        "gamma": gp.gamma,
-        "x_pq": gp.x_pq,
-        "midpoint": gp.midpoint,
-        "members": {},
-        "coin_game": [],
-    }
+    doc: dict = asdict(gp) | {"members": {}, "coin_game": []}
     all_pass = True
     for sigma in (-1, 1):
         member = adversary.gadget_member(gp, sigma)
@@ -238,20 +241,7 @@ def _cmd_coin(args) -> int:
     seed = _base_seed(args)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC014))))
     res = adversary.coin_game(args.p, args.gamma, args.c, trials=args.trials, rng=rng)
-    print(
-        json.dumps(
-            {
-                "p": res.p,
-                "gamma": res.gamma,
-                "c": res.c,
-                "n": res.n,
-                "trials": res.trials,
-                "error_rate": res.error_rate,
-                "std_err": res.std_err,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(asdict(res), sort_keys=True))
     return EXIT_OK
 
 
@@ -293,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--trials", type=int, default=None)
     p_curve.add_argument("--config", type=str, default=None, help="JSON config; flags override")
     add_common(p_curve)
-    p_curve.set_defaults(func=_cmd_curve)
+    p_curve.set_defaults(func=partial(_cmd_curve, parser=p_curve))
 
     p_adv = sub.add_parser("adversary", help="build and validate the slow-rate construction")
     p_adv.add_argument("--learner", type=str, required=True)

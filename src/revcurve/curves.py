@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from multiprocessing import get_context
 from typing import Sequence
@@ -100,10 +100,7 @@ class LearningCurve:
             "learner": self.learner_name,
             "distribution": self.dist_label,
             "base_seed": self.base_seed,
-            "points": [
-                {"n": p.n, "trials": p.trials, "mean_gap": p.mean_gap, "std_err": p.std_err}
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
         }
         return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -117,16 +114,7 @@ class RateFit:
     points_used: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "slope_or_rate": self.slope_or_rate,
-                "intercept": self.intercept,
-                "r_squared": self.r_squared,
-                "points_used": self.points_used,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def trial_streams(base_seed: int, n: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -239,38 +227,29 @@ def expected_revenue_curve(
 # -- rate fits ---------------------------------------------------------------
 
 
-def _filtered(curve: LearningCurve) -> list[CurvePoint]:
-    return [p for p in curve.points if p.mean_gap > SIGNAL_SIGMA * p.std_err]
-
-
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _fit(curve: LearningCurve, model: str, log_n: bool) -> RateFit:
+    """OLS of log mean_gap on log n (or n) over the positive-signal points."""
+    pts = [p for p in curve.points if p.mean_gap > SIGNAL_SIGMA * p.std_err]
+    if len(pts) < 3:
+        raise InsufficientDataError(f"{model} fit needs >= 3 positive-signal points, have {len(pts)}")
+    x = np.array([p.n for p in pts], dtype=np.float64)
+    x = np.log(x) if log_n else x
+    y = np.log(np.array([p.mean_gap for p in pts]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), float(intercept), r2
+    return RateFit(model, float(slope), float(intercept), r2, len(pts))
 
 
 def fit_power(curve: LearningCurve) -> RateFit:
     """OLS of log mean_gap on log n over the positive-signal points."""
-    pts = _filtered(curve)
-    if len(pts) < 3:
-        raise InsufficientDataError(f"power fit needs >= 3 positive-signal points, have {len(pts)}")
-    x = np.log(np.array([p.n for p in pts], dtype=np.float64))
-    y = np.log(np.array([p.mean_gap for p in pts]))
-    slope, intercept, r2 = _ols(x, y)
-    return RateFit("power", slope, intercept, r2, len(pts))
+    return _fit(curve, "power", log_n=True)
 
 
 def fit_exponential(curve: LearningCurve) -> RateFit:
     """OLS of log mean_gap on n over the positive-signal points."""
-    pts = _filtered(curve)
-    if len(pts) < 3:
-        raise InsufficientDataError(f"exponential fit needs >= 3 positive-signal points, have {len(pts)}")
-    x = np.array([p.n for p in pts], dtype=np.float64)
-    y = np.log(np.array([p.mean_gap for p in pts]))
-    slope, intercept, r2 = _ols(x, y)
-    return RateFit("exponential", slope, intercept, r2, len(pts))
+    return _fit(curve, "exponential", log_n=False)
 
 
 # -- near-optimal-price diagnostics (finite support) --------------------------

@@ -11,8 +11,8 @@ Three variants sit behind one `Distribution` wrapper:
   TailRuleDist    countable support given by index rules k -> (value, survival);
                   materialized to a finite depth for sampling, with the residual
                   tail lumped onto one extra atom
-  ContinuousDist  CDF/quantile pair, optional closed-form revenue; optimum by
-                  bracketing grid plus golden-section refinement
+  ContinuousDist  CDF/quantile pair; optimum by bracketing grid plus
+                  golden-section refinement
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "InfeasibleParametersError",
     "SearchBudgetError",
     "OptResult",
-    "OptSearch",
     "FinitePMF",
     "TailRuleDist",
     "ContinuousDist",
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
+# budget of the continuous optimum search
+_OPT_GRID_POINTS = 4096
+_OPT_TOL = 1e-9
+_OPT_MAX_EXPANSIONS = 60
 
 
 class InfeasibleParametersError(ValueError):
@@ -60,15 +63,6 @@ class SearchBudgetError(RuntimeError):
 class OptResult(NamedTuple):
     value: float
     price: Optional[float]  # None when the supremum is a limit attained by no price
-
-
-@dataclass(frozen=True)
-class OptSearch:
-    """Budget for the continuous optimum search."""
-
-    grid_points: int = 4096
-    tol: float = 1e-9
-    max_expansions: int = 60
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,6 @@ class ContinuousDist:
     rule_name: str
     cdf_fn: Callable
     quantile_fn: Callable
-    revenue_closed_form: Optional[Callable] = None
     support_upper: Optional[float] = None
     revenue_sup: Optional[float] = None
     params: dict = field(default_factory=dict)
@@ -229,23 +222,21 @@ class ContinuousDist:
         return 1.0 - np.asarray(self.cdf_fn(p), dtype=np.float64)
 
     def _revenue_grid(self, p: np.ndarray) -> np.ndarray:
-        if self.revenue_closed_form is not None:
-            return np.asarray(self.revenue_closed_form(p), dtype=np.float64)
-        return p * (1.0 - np.asarray(self.cdf_fn(p), dtype=np.float64))
+        return p * self.survival_many(p)
 
-    def optimal_revenue(self, search: OptSearch) -> OptResult:
+    def optimal_revenue(self) -> OptResult:
         if self.revenue_sup is not None:
             return OptResult(float(self.revenue_sup), None)
         hi = self.support_upper if self.support_upper is not None else 1.0
         expansions = 0
         while True:
-            grid = np.linspace(0.0, hi, search.grid_points)
+            grid = np.linspace(0.0, hi, _OPT_GRID_POINTS)
             rev = self._revenue_grid(grid)
             i = int(np.argmax(rev))
-            if self.support_upper is not None or i < search.grid_points - 2:
+            if self.support_upper is not None or i < _OPT_GRID_POINTS - 2:
                 break
             expansions += 1
-            if expansions > search.max_expansions:
+            if expansions > _OPT_MAX_EXPANSIONS:
                 raise SearchBudgetError(
                     "optimum search did not converge within the expansion budget",
                     bracket=(float(grid[i - 1]), float(grid[i])),
@@ -253,9 +244,9 @@ class ContinuousDist:
                 )
             hi *= 2.0
         lo_b = float(grid[max(i - 1, 0)])
-        hi_b = float(grid[min(i + 1, search.grid_points - 1)])
-        p_star, v_star = _golden_max(lambda p: float(self._revenue_grid(np.array([p]))[0]), lo_b, hi_b, search.tol)
-        interior = 0 < i < search.grid_points - 1
+        hi_b = float(grid[min(i + 1, _OPT_GRID_POINTS - 1)])
+        p_star, v_star = _golden_max(lambda p: float(self._revenue_grid(np.array([p]))[0]), lo_b, hi_b, _OPT_TOL)
+        interior = 0 < i < _OPT_GRID_POINTS - 1
         exceeds_edges = v_star > float(rev[0]) + 1e-9 and v_star > float(rev[-1]) + 1e-9
         if interior and exceeds_edges:
             return OptResult(v_star, p_star)
@@ -332,10 +323,8 @@ class Distribution:
             raise ValueError(f"price must be finite and nonnegative, got {p!r}")
         return p * self.variant.survival(p, strict=False)
 
-    def optimal_revenue(self, search: OptSearch | None = None) -> OptResult:
+    def optimal_revenue(self) -> OptResult:
         """sup_p revenue(p); price is None when the sup is attained by no price."""
-        if isinstance(self.variant, ContinuousDist):
-            return self.variant.optimal_revenue(search or OptSearch())
         return self.variant.optimal_revenue()
 
     def sample(self, rng: np.random.Generator, n: int) -> Sample:
@@ -358,20 +347,12 @@ class Distribution:
                 "variant": "finite_pmf",
                 "atoms": [[float(a), float(m)] for a, m in zip(v.values, v.masses)],
             }
+        if v.rule_name not in zoo_names():
+            raise ValueError(f"{self.label}: rule {v.rule_name!r} is not in the zoo, so from_dict could not rebuild it")
+        doc = {"label": self.label, "variant": "continuous", "rule_name": v.rule_name, "params": dict(v.params)}
         if isinstance(v, TailRuleDist):
-            return {
-                "label": self.label,
-                "variant": "tail_rule",
-                "rule_name": v.rule_name,
-                "params": dict(v.params),
-                "truncation_depth": v.truncation_depth,
-            }
-        return {
-            "label": self.label,
-            "variant": "continuous",
-            "rule_name": v.rule_name,
-            "params": dict(v.params),
-        }
+            doc.update(variant="tail_rule", truncation_depth=v.truncation_depth)
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "Distribution":
@@ -383,10 +364,8 @@ class Distribution:
                 masses=np.array([a[1] for a in atoms], dtype=np.float64),
             )
             return Distribution(label=doc.get("label", "finite_pmf"), variant=pmf)
-        if variant == "tail_rule":
+        if variant in ("tail_rule", "continuous"):
             return zoo(doc["rule_name"], truncation_depth=doc.get("truncation_depth"), **doc.get("params", {}))
-        if variant == "continuous":
-            return zoo(doc["rule_name"], **doc.get("params", {}))
         raise ValueError(f"unknown distribution variant {variant!r}")
 
     def to_json(self) -> str:
@@ -429,11 +408,6 @@ def _uniform01_quantile(u):
     return u
 
 
-def _uniform01_revenue(p):
-    p = np.asarray(p, dtype=np.float64)
-    return np.where(p <= 1.0, p * (1.0 - np.clip(p, 0.0, 1.0)), 0.0)
-
-
 def _regular_no_opt_cdf(p):
     p = np.maximum(np.asarray(p, dtype=np.float64), 0.0)
     return 1.0 - 1.0 / (p + 1.0)
@@ -442,11 +416,6 @@ def _regular_no_opt_cdf(p):
 def _regular_no_opt_quantile(u):
     u = np.asarray(u, dtype=np.float64)
     return u / (1.0 - u)
-
-
-def _regular_no_opt_revenue(p):
-    p = np.maximum(np.asarray(p, dtype=np.float64), 0.0)
-    return p / (p + 1.0)
 
 
 def _regular_no_opt2_cdf(p):
@@ -459,12 +428,6 @@ def _regular_no_opt2_quantile(u):
     u = np.asarray(u, dtype=np.float64)
     w = (-1.0 + np.sqrt(1.0 + 8.0 * (1.0 - u))) / 2.0
     return 1.0 / w - 1.0
-
-
-def _regular_no_opt2_revenue(p):
-    p = np.maximum(np.asarray(p, dtype=np.float64), 0.0)
-    w = 1.0 / (p + 1.0)
-    return p * 0.5 * (w + w * w)
 
 
 _DEFAULT_DEPTH = {"erm_hard": 20, "discrete_no_opt": 10_000}
@@ -503,7 +466,6 @@ def zoo(name: str, truncation_depth: int | None = None, **params) -> Distributio
                 rule_name="uniform01",
                 cdf_fn=_uniform01_cdf,
                 quantile_fn=_uniform01_quantile,
-                revenue_closed_form=_uniform01_revenue,
                 support_upper=1.0,
             ),
         )
@@ -514,7 +476,6 @@ def zoo(name: str, truncation_depth: int | None = None, **params) -> Distributio
                 rule_name="regular_no_opt",
                 cdf_fn=_regular_no_opt_cdf,
                 quantile_fn=_regular_no_opt_quantile,
-                revenue_closed_form=_regular_no_opt_revenue,
                 revenue_sup=1.0,
             ),
         )
@@ -525,7 +486,6 @@ def zoo(name: str, truncation_depth: int | None = None, **params) -> Distributio
                 rule_name="regular_no_opt2",
                 cdf_fn=_regular_no_opt2_cdf,
                 quantile_fn=_regular_no_opt2_quantile,
-                revenue_closed_form=_regular_no_opt2_revenue,
                 revenue_sup=0.5,
             ),
         )

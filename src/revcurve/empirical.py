@@ -80,8 +80,6 @@ class EmpiricalDist:
 
 def empirical_dist(sample: Sample) -> EmpiricalDist:
     """Sorted empirical distribution of a sample; invariant under permutation."""
-    if sample.n == 0:
-        raise ValueError("cannot build an empirical distribution from an empty sample")
     return EmpiricalDist.from_values(sample.values)
 
 

@@ -107,6 +107,7 @@ def test_criterion_1_finite_support_exponential_rate():
     assert mc_ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_2_erm_non_convergence():
     """erm_hard + ERM at n = 4^k, k = 3..6, 1e5 trials: gap >= 0.02 at every k,
     and above the exact binomial floor Pr[Bin(4^k, 1/(2*4^k)) >= 2]/2 - 3sigma."""
@@ -126,6 +127,7 @@ def test_criterion_2_erm_non_convergence():
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_3_structural_erm_rescues():
     """Structural ERM (defaults) on the same grid: gap at 4^6 <= 0.05 and at
     least 3 combined sigma below plain ERM's gap there."""
@@ -164,6 +166,7 @@ def _exponential_mean_10() -> Distribution:
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_capped_erm_unbounded_support():
     """Exp(mean 10) + capped ERM (g = sqrt n), grid 1e2..1e5, 1e3 trials:
     power-fit slope <= -0.4, and truncated ERM matches once ln n >= 10.

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from revcurve import curves
 from revcurve.cli import main
 from revcurve.curves import LearningCurve
 
@@ -107,6 +108,54 @@ class TestCurveCommand:
         assert code == 2 and "config error" in err and named in err
         assert not out.exists()
 
+    def test_config_values_take_flag_types(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = curves.learning_curve
+
+        def recording(*args, workers):
+            seen.append(workers)
+            return real(*args, workers=1)
+
+        monkeypatch.setattr(curves, "learning_curve", recording)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "learner": "erm", "dist": "uniform01", "grid": "50,100", "trials": "30",
+            "workers": "2", "seed": "5", "out": str(tmp_path / "from_config"),
+        }))
+        code, _, err = run_cli(["curve", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert seen == [2]
+        doc = json.loads((tmp_path / "from_config" / "curve.json").read_text())
+        assert doc["base_seed"] == 5
+        assert [(p["n"], p["trials"]) for p in doc["points"]] == [(50, 30), (100, 30)]
+
+    def test_config_list_grid_matches_flag(self, tmp_path, capsys):
+        args = ["curve", "--learner", "erm", "--dist", "uniform01", "--trials", "20", "--seed", "4"]
+        assert run_cli(args + ["--grid", "30,60", "--out", str(tmp_path / "flag")], capsys)[0] == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": [30, 60], "out": str(tmp_path / "config")}))
+        assert run_cli(args + ["--config", str(cfg)], capsys)[0] == 0
+        for name in ("curve.csv", "curve.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("workers", "two"), ("trials", 2.5), ("seed", True), ("grid", [50, "x"])])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        doc = {"learner": "erm", "dist": "uniform01", "grid": "50,100", "trials": 20}
+        cfg.write_text(json.dumps(doc | {key: value}))
+        out = tmp_path / "from_config"
+        code, _, err = run_cli(["curve", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2 and "config error" in err and key in err
+        assert not out.exists()
+
+    def test_curve_json_point_keys(self, tmp_path, capsys):
+        args = ["curve", "--learner", "erm", "--dist", "uniform01", "--grid", "20,40", "--trials", "10"]
+        assert run_cli(args + ["--out", str(tmp_path)], capsys)[0] == 0
+        doc = json.loads((tmp_path / "curve.json").read_text())
+        assert set(doc) == {"learner", "distribution", "base_seed", "points"}
+        for point in doc["points"]:
+            assert set(point) == {"n", "trials", "mean_gap", "std_err"}
+
     def test_infeasible_dist_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["curve", "--learner", "erm", "--dist", "two_point:p=1,p_prime=3,c=4",
@@ -199,6 +248,12 @@ class TestGadgetCommand:
             assert doc["members"][sigma]["passed"] is True
             assert doc["members"][sigma]["wrong_side_passed"] is False
 
+    def test_gadget_json_top_level_keys(self, tmp_path, capsys):
+        args = ["gadget", "--x", "0.9", "--q", "0.6", "--p", "0.2", "--trials", "100", "--out", str(tmp_path)]
+        assert run_cli(args, capsys)[0] == 0
+        doc = json.loads((tmp_path / "gadget.json").read_text())
+        assert set(doc) == {"x", "q", "p", "gamma", "x_pq", "midpoint", "members", "coin_game"}
+
     def test_infeasible_p_exit_3(self, capsys):
         code, _, err = run_cli(["gadget", "--x", "0.6", "--q", "0.5", "--p", "0.5"], capsys)
         assert code == 3 and "x_pq" in err
@@ -213,6 +268,24 @@ class TestCoinAndFit:
         assert code == 0
         doc = json.loads(out)
         assert doc["n"] == 10_000 and 0.05 < doc["error_rate"] < 0.3
+
+    def test_coin_stdout_keys(self, capsys):
+        code, out, _ = run_cli(["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--trials", "100"], capsys)
+        assert code == 0
+        assert set(json.loads(out)) == {"p", "gamma", "c", "n", "trials", "error_rate", "std_err"}
+
+    def test_fit_stdout_keys(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        with open(path, "w") as fh:
+            fh.write("n,trials,mean_gap,std_err,seed\n")
+            for n in (10, 100, 1000):
+                fh.write(f"{n},100,{n**-0.5!r},{n**-0.5 * 1e-6!r},0\n")
+        code, out, _ = run_cli(["fit", "--csv", str(path), "--model", "both"], capsys)
+        assert code == 0
+        fits = [json.loads(line) for line in out.splitlines()]
+        assert [fit["model"] for fit in fits] == ["power", "exponential"]
+        for fit in fits:
+            assert set(fit) == {"model", "slope_or_rate", "intercept", "r_squared", "points_used"}
 
     def test_fit_on_written_csv(self, tmp_path, capsys):
         path = tmp_path / "c.csv"

@@ -12,6 +12,7 @@ from revcurve.curves import (
     GapUndefinedError,
     InsufficientDataError,
     LearningCurve,
+    RateFit,
     delta_eps,
     estimate_gap,
     expected_revenue_curve,
@@ -291,6 +292,10 @@ class TestFits:
         fit = fit_exponential(synthetic_curve(ns, [5.0 * math.exp(-n) for n in ns]))
         assert fit.slope_or_rate == pytest.approx(-1.0, abs=1e-9)
         assert fit.intercept == pytest.approx(math.log(5.0), abs=1e-9)
+
+    def test_rate_fit_json(self):
+        text = RateFit("power", -0.5, 1.25, 0.875, 4).to_json()
+        assert text == '{"intercept": 1.25, "model": "power", "points_used": 4, "r_squared": 0.875, "slope_or_rate": -0.5}'
 
     def test_positive_signal_filter(self):
         pts = (

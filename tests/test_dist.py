@@ -10,6 +10,7 @@ from revcurve.dist import (
     Distribution,
     FinitePMF,
     InfeasibleParametersError,
+    OptResult,
     SearchBudgetError,
     TailRuleDist,
     parse_dist,
@@ -107,6 +108,10 @@ class TestOptimalRevenue:
         opt = zoo("uniform01").optimal_revenue()
         assert opt.value == pytest.approx(0.25, abs=1e-12)
         assert opt.price == pytest.approx(0.5, abs=1e-7)
+
+    def test_uniform01_optimum_bits(self):
+        # pinned to the last bit: the search reads revenue only as p * survival(p)
+        assert zoo("uniform01").optimal_revenue() == OptResult(0.25, 0.49999999612344764)
 
     def test_regular_no_opt_sup_is_declared_limit(self):
         assert zoo("regular_no_opt").optimal_revenue() == (1.0, None)
@@ -278,6 +283,17 @@ class TestSerialization:
         d = zoo("uniform01")
         back = Distribution.from_json(d.to_json())
         assert back.optimal_revenue().value == pytest.approx(0.25, abs=1e-12)
+
+    def test_to_dict_refuses_law_outside_zoo(self):
+        exp10 = ContinuousDist(
+            "exponential_mean_10",
+            lambda p: -np.expm1(-np.asarray(p, dtype=np.float64) / 10.0),
+            lambda u: -10.0 * np.log1p(-np.asarray(u, dtype=np.float64)),
+        )
+        heavy = TailRuleDist("heavy", lambda k: float(k + 1), lambda k: 1.0 / (k + 1), truncation_depth=5)
+        for variant in (exp10, heavy):
+            with pytest.raises(ValueError, match=variant.rule_name):
+                Distribution(label="outside", variant=variant).to_dict()
 
     def test_schema_fields(self):
         doc = json.loads(zoo("erm_hard").to_json())
