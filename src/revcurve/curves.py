@@ -4,9 +4,13 @@ for the set of near-optimal prices.
 Reproducibility contract: trial t of a curve point at sample size n is driven
 by Generator(Philox(SeedSequence((base_seed, n, t)))).  The per-trial seeding
 is counter-based, so results are bit-identical regardless of how trials are
-scheduled across parallel workers.  With workers > 1 a run opens one spawn
-process pool for its whole grid; each worker receives the caller's learner and
-distribution once, pickled and checked before any process starts.
+scheduled across parallel workers.  On an atomic law with K <= n atoms and a
+symmetric learner (one with decide_counts), a trial draws the count of each
+atom, one multinomial draw from the same sample stream, instead of n values;
+every other trial draws the sample and hands the learner its own stream.
+With workers > 1 a run opens one spawn process pool for its whole grid; each
+worker receives the caller's learner and distribution once, pickled and
+checked before any process starts.
 """
 
 from __future__ import annotations
@@ -124,8 +128,19 @@ def trial_streams(base_seed: int, n: int, trial: int) -> tuple[np.random.Generat
     return np.random.Generator(np.random.Philox(s1)), np.random.Generator(np.random.Philox(s2))
 
 
+def sample_stream(base_seed: int, n: int, trial: int) -> np.random.Generator:
+    """The sample stream of trial_streams alone, bit for bit, without the learner's."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, n, trial), spawn_key=(0,))))
+
+
 def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
     revs = np.empty(len(trial_range))
+    table = dist.atom_table
+    if learner.decide_counts is not None and table is not None and table.values.size <= n:
+        for i, t in enumerate(trial_range):
+            counts = table.draw_counts(sample_stream(base_seed, n, t), n)
+            revs[i] = dist.revenue(float(learner.decide_counts(table.values, counts, n)))
+        return revs
     for i, t in enumerate(trial_range):
         sample_rng, learner_rng = trial_streams(base_seed, n, t)
         s = dist.sample(sample_rng, n)
@@ -276,18 +291,17 @@ def _pmf_of(dist: Distribution) -> FinitePMF:
     return dist.variant
 
 
-def _teps_pieces(pmf: FinitePMF, eps: float) -> list[tuple[float, float]]:
+def _teps_pieces(pmf: FinitePMF, opt: float, eps: float) -> list[tuple[float, float]]:
     """Maximal-resolution decomposition of T(eps) into closed pieces [lo, v_i],
     one per support interval, each free of interior atoms."""
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    opt, _ = pmf.optimal_revenue()
     thr = opt - eps
     if thr <= 0.0:
         raise ValueError("eps >= optimal revenue: every large price qualifies and the set is unbounded")
     tol = 1e-12 * max(1.0, opt)
     vals = pmf.values
-    tails = pmf._tail[: vals.size]
+    tails = pmf.survival_many(vals)
     pieces = []
     prev = 0.0
     for v, s in zip(vals, tails):
@@ -301,17 +315,16 @@ def _teps_pieces(pmf: FinitePMF, eps: float) -> list[tuple[float, float]]:
 def t_eps(dist: Distribution, eps: float) -> TEpsResult:
     """The set T(eps) of prices with revenue >= opt - eps, boundary-exact."""
     pmf = _pmf_of(dist)
-    pieces = _teps_pieces(pmf, eps)
+    opt = pmf.optimal_revenue().value
+    pieces = _teps_pieces(pmf, opt, eps)
     merged: list[list[float]] = []
     for lo, hi in pieces:
         if merged and lo <= merged[-1][1] + 1e-15:
             merged[-1][1] = hi
         else:
             merged.append([lo, hi])
-    opt, _ = pmf.optimal_revenue()
     tol = 1e-12 * max(1.0, opt)
-    atom_rev = pmf.values * pmf._tail[: pmf.values.size]
-    atoms = pmf.values[atom_rev >= opt - eps - tol]
+    atoms = pmf.values[pmf.atom_revenues >= opt - eps - tol]
     return TEpsResult(atoms=atoms, intervals=tuple((lo, hi) for lo, hi in merged))
 
 
@@ -327,11 +340,9 @@ def delta_eps(dist: Distribution, eps: float) -> float:
     branch crossings, all enumerated below.
     """
     pmf = _pmf_of(dist)
-    opt, _ = pmf.optimal_revenue()
+    opt = pmf.optimal_revenue().value
     tol = 1e-12 * max(1.0, opt)
-    vals = pmf.values
-    tails = pmf._tail[: vals.size]
-    t_star = vals[vals * tails >= opt - tol]
+    t_star = pmf.values[pmf.atom_revenues >= opt - tol]
 
     def crossing_mass(a: float, b: float) -> float:
         lo, hi = (a, b) if a <= b else (b, a)
@@ -341,7 +352,7 @@ def delta_eps(dist: Distribution, eps: float) -> float:
         return min(max(abs(t - ts), crossing_mass(t, float(ts))) for ts in t_star)
 
     best = 0.0
-    for lo, hi in _teps_pieces(pmf, eps):
+    for lo, hi in _teps_pieces(pmf, opt, eps):
         cands = {lo, hi}
         # per optimal price, the two active linear branches on the open piece
         # interior: (slope, intercept) pairs of t -> slope*t + intercept

@@ -77,6 +77,8 @@ class FinitePMF:
         m = np.asarray(self.masses, dtype=np.float64)
         if v.ndim != 1 or m.ndim != 1 or v.size != m.size or v.size == 0:
             raise InfeasibleParametersError("values and masses must be matching nonempty 1-D arrays")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(m))):
+            raise InfeasibleParametersError("atom values and masses must be finite")
         if float(v[0]) < 0.0:
             raise InfeasibleParametersError("atom values must be nonnegative")
         if v.size > 1 and not np.all(np.diff(v) > 0):
@@ -109,8 +111,13 @@ class FinitePMF:
         side = "right" if strict else "left"
         return self._tail[np.searchsorted(self.values, p, side=side)]
 
+    @cached_property
+    def atom_revenues(self) -> np.ndarray:
+        """revenue(values[i]) = values[i] * Pr[v >= values[i]] for every atom."""
+        return self.values * self._tail[: self.values.size]
+
     def optimal_revenue(self) -> OptResult:
-        rev = self.values * self._tail[: self.values.size]
+        rev = self.atom_revenues
         i = int(np.argmax(rev))  # first maximizer = smallest optimal atom
         return OptResult(float(rev[i]), float(self.values[i]))
 
@@ -118,8 +125,9 @@ class FinitePMF:
         idx = np.searchsorted(self._cum, rng.random(n), side="right")
         return self.values[idx]
 
-    def atom_points(self) -> np.ndarray:
-        return self.values
+    def draw_counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """How many of n i.i.d. draws land on each atom: one multinomial draw."""
+        return rng.multinomial(n, self.masses)
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,6 @@ class TailRuleDist:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self._materialized.draw(rng, n)
 
-    def atom_points(self) -> np.ndarray:
-        return self._materialized.values
-
 
 @dataclass(frozen=True)
 class ContinuousDist:
@@ -254,9 +259,6 @@ class ContinuousDist:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.asarray(self.quantile_fn(rng.random(n)), dtype=np.float64)
-
-    def atom_points(self) -> np.ndarray:
-        return np.empty(0, dtype=np.float64)
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -333,9 +335,19 @@ class Distribution:
             raise ValueError("sample size must be >= 1")
         return Sample(values=self.variant.draw(rng, n))
 
+    @property
+    def atom_table(self) -> Optional[FinitePMF]:
+        """The finite table that draws come from: the FinitePMF itself, a tail
+        rule's materialized atoms (lump atom included), or None for a continuous law."""
+        v = self.variant
+        if isinstance(v, TailRuleDist):
+            return v._materialized
+        return v if isinstance(v, FinitePMF) else None
+
     def candidate_points(self) -> np.ndarray:
         """Atom locations (empty for continuous laws); used by CDF-deviation scans."""
-        return self.variant.atom_points()
+        table = self.atom_table
+        return np.empty(0, dtype=np.float64) if table is None else table.values
 
     # -- serialization ----------------------------------------------------
 

@@ -2,8 +2,11 @@
 revenue maximization, all exposed through one Learner record.
 
 All four read the sample through one revenue kernel: the distinct sorted
-values u with their empirical revenues u * #{v >= u} / n, taken from the first
-copy of each value in the already-sorted sample.  ERM takes the first maximum,
+values u with their empirical revenues u * (n - first) / n, where first[j] is
+the sorted index of u[j]'s first copy.  There are two front doors onto it: a
+sorted sample gives (u, first) directly, and a count vector c over ascending
+atoms gives the drawn atoms and first = cumsum(c) - c, so both price the same
+multiset with the same float expression, bit for bit.  ERM takes the first maximum,
 capped ERM (truncated ERM is capped at max(ln n, 1)) adds the cap itself as a
 candidate, and structural ERM scans the same revenues with its margin.
 
@@ -85,21 +88,43 @@ def _f_quarter(n: int) -> float:
 
 @dataclass(frozen=True)
 class Learner:
-    """A pricing rule: decide(values, n, rng) -> posted price."""
+    """A pricing rule: decide(values, n, rng) -> posted price.
+
+    decide_counts(values, counts, n) -> price, when set, declares the rule
+    symmetric and deterministic: it prices the sample holding counts[i] copies
+    of values[i] (atoms strictly increasing, finite and nonnegative; counts
+    nonnegative integers summing to n), and returns exactly the float that
+    decide(np.repeat(values, counts), n, rng) returns, for any order of that
+    sample and any rng.  Monte Carlo curves on atomic laws then draw only the
+    count of each atom.  Leave it None for any other rule.
+    """
 
     name: str
     decide: Callable[[np.ndarray, int, Optional[np.random.Generator]], float]
     deterministic: bool = True
     config: Optional[GrowthFns] = None
+    decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], float]] = None
 
 
-def _revenues(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sample values u, ascending, with their empirical revenues
-    u * #{v >= u} / n; first[j] is the sorted index of u[j]'s first copy."""
+def _distinct(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-sample front door: the distinct values u, ascending, and first[j],
+    the sorted index of u[j]'s first copy."""
     v = e.sorted_values
     first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    u = v[first]
-    return u, u * (e.n - first) / e.n
+    return v[first], first
+
+
+def _distinct_counts(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Count-vector front door: the same (u, first) for the sample holding
+    counts[i] copies of the ascending atom values[i]."""
+    drawn = counts > 0
+    c = counts[drawn]
+    return values[drawn], np.cumsum(c) - c
+
+
+def _revenues(u: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
+    """Empirical revenues u * #{v >= u} / m of a sample of size m."""
+    return u * (m - first) / m
 
 
 def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
@@ -114,8 +139,7 @@ def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
 
 def erm(e: EmpiricalDist) -> float:
     """Smallest sample value maximizing empirical revenue."""
-    u, rev = _revenues(e)
-    return float(u[int(np.argmax(rev))])  # argmax returns the first maximum
+    return _erm_price(*_distinct(e), e.n)
 
 
 def truncated_erm(e: EmpiricalDist, n: int) -> float:
@@ -126,16 +150,7 @@ def truncated_erm(e: EmpiricalDist, n: int) -> float:
 def capped_erm(e: EmpiricalDist, n: int, g: Callable[[int], float]) -> float:
     """ERM restricted to prices at most g(n): the best of the sample values
     below the cap and the cap itself, the smaller price winning a tie."""
-    cap = g(n)
-    if cap <= 0.0:
-        raise ValueError("growth function must be positive at n")
-    u, rev = _revenues(e)
-    k = int(np.searchsorted(u, cap, side="right"))
-    if k:
-        best = int(np.argmax(rev[:k]))
-        if rev[best] >= cap * e.count_geq(cap) / e.n:
-            return float(u[best])
-    return float(cap)
+    return _capped_price(*_distinct(e), e.n, g(n))
 
 
 def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float:
@@ -147,12 +162,36 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
     therefore runs over distinct values, which is equivalent to indexing the
     full sorted multiset.
     """
-    fn = f(n)
+    return _structural_price(*_distinct(e), e.n, f(n))
+
+
+# -- the rules, on (u, first) of a sample of size m ---------------------------
+
+
+def _erm_price(u: np.ndarray, first: np.ndarray, m: int) -> float:
+    return float(u[int(np.argmax(_revenues(u, first, m)))])  # argmax returns the first maximum
+
+
+def _capped_price(u: np.ndarray, first: np.ndarray, m: int, cap: float) -> float:
+    if cap <= 0.0:
+        raise ValueError("growth function must be positive at n")
+    k = int(np.searchsorted(u, cap, side="right"))
+    if k:
+        rev = _revenues(u[:k], first[:k], m)
+        best = int(np.argmax(rev))
+        at_cap = k - 1 if u[k - 1] == cap else k  # first distinct value >= cap
+        count_geq = m - int(first[at_cap]) if at_cap < u.size else 0
+        if rev[best] >= cap * count_geq / m:
+            return float(u[best])
+    return float(cap)
+
+
+def _structural_price(u: np.ndarray, first: np.ndarray, m: int, fn: float) -> float:
     if fn < 0.0:
         raise ValueError("confidence scale must be nonnegative")
-    u, rev = _revenues(e)
     if u.size == 1:
         return float(u[0])
+    rev = _revenues(u, first, m)
     # handicap[j] = max over values before j of rev + u*f(n); value j wins iff
     # its revenue clears handicap plus its own u_j*f(n)
     handicap = np.maximum.accumulate(rev + u * fn)
@@ -165,48 +204,66 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
 
 @dataclass(frozen=True)
 class _ErmDecide:
-    """Plain ERM, capped at cap(n), or structural with confidence scale(n)."""
+    """Plain ERM, capped at cap(n), or structural with confidence scale(n),
+    priced from a sample."""
 
     cap: Optional[Callable[[int], float]] = None
     scale: Optional[Callable[[int], float]] = None
 
     def __call__(self, values, n, rng):
         e = EmpiricalDist.from_values(values)
+        return self.price(*_distinct(e), e.n, n)
+
+    def price(self, u, first, m, n):
         if self.scale is not None:
-            return structural_erm(e, n, self.scale)
+            return _structural_price(u, first, m, self.scale(n))
         if self.cap is not None:
-            return capped_erm(e, n, self.cap)
-        return erm(e)
+            return _capped_price(u, first, m, self.cap(n))
+        return _erm_price(u, first, m)
+
+
+@dataclass(frozen=True)
+class _ErmCounts(_ErmDecide):
+    """The same rule priced from a count vector."""
+
+    def __call__(self, values, counts, n):
+        return self.price(*_distinct_counts(values, counts), n, n)
 
 
 @dataclass(frozen=True)
 class _ConstantDecide:
+    """One record for both front doors: a constant price ignores its data."""
+
     price: float
 
-    def __call__(self, values, n, rng):
+    def __call__(self, *data):
         return self.price
 
 
+def _erm_learner(name: str, config: GrowthFns | None = None, **rule) -> Learner:
+    return Learner(name=name, decide=_ErmDecide(**rule), config=config, decide_counts=_ErmCounts(**rule))
+
+
 def make_erm() -> Learner:
-    return Learner(name="erm", decide=_ErmDecide())
+    return _erm_learner("erm")
 
 
 def make_truncated() -> Learner:
-    return Learner(name="truncated", decide=_ErmDecide(cap=_g_log))
+    return _erm_learner("truncated", cap=_g_log)
 
 
 def make_capped(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return Learner(name=f"capped[g={growth.g_name}]", decide=_ErmDecide(cap=growth.g), config=growth)
+    return _erm_learner(f"capped[g={growth.g_name}]", growth, cap=growth.g)
 
 
 def make_structural(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return Learner(name=f"structural[f={growth.f_name}]", decide=_ErmDecide(scale=growth.f), config=growth)
+    return _erm_learner(f"structural[f={growth.f_name}]", growth, scale=growth.f)
 
 
 def make_constant(price: float) -> Learner:
-    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price))
+    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price), decide_counts=_ConstantDecide(price))
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,15 @@ class TestCurveCommand:
         )
         assert code == 3 and "infeasible" in err
 
+    @pytest.mark.parametrize("spec", ["finite:nan@1", "finite:1@0.5,inf@0.5"])
+    def test_non_finite_atom_exit_3(self, tmp_path, capsys, spec):
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", spec, "--grid", "10,20", "--trials", "10", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3 and "atom values and masses must be finite" in err
+        assert not (tmp_path / "curve.json").exists()
+
 
 class TestSeedPrecedence:
     def test_env_var_overrides_default(self, tmp_path, capsys, monkeypatch):

@@ -19,7 +19,9 @@ from revcurve.curves import (
     fit_exponential,
     fit_power,
     learning_curve,
+    sample_stream,
     t_eps,
+    trial_streams,
 )
 from revcurve.dist import ContinuousDist, Distribution, TailRuleDist, parse_dist, two_point, zoo
 from revcurve.learners import (
@@ -213,6 +215,59 @@ class TestEstimateGap:
         rows = expected_revenue_curve(make_truncated(), heavy, [20, 200, 2000], trials=300, base_seed=3)
         revs = [r[1] for r in rows]
         assert revs[0] < revs[-1]
+
+
+def _refuse_samples(values, n, rng):
+    raise AssertionError("the sample path ran")
+
+
+class TestCountPath:
+    """Atomic laws with K <= n atoms and a learner with decide_counts draw one
+    count vector per trial; every other trial draws the sample."""
+
+    @pytest.mark.parametrize("n,trial", [(1, 0), (64, 3), (4096, 999)])
+    def test_sample_stream_is_trial_streams_first(self, n, trial):
+        a = sample_stream(2024, n, trial)
+        b = trial_streams(2024, n, trial)[0]
+        for word in ("key", "counter"):
+            assert np.array_equal(a.bit_generator.state["state"][word], b.bit_generator.state["state"][word])
+        assert np.array_equal(a.random(8), b.random(8))
+
+    def test_path_depends_only_on_count_form_table_and_k(self):
+        counts_only = Learner(name="counts only", decide=_refuse_samples, decide_counts=make_constant(1.0).decide_counts)
+        two = two_point(1.0, 3.0, 2.0)  # K = 2
+        assert estimate_gap(counts_only, two, n=2, trials=4, base_seed=1).mean_gap == 1.0
+        with pytest.raises(AssertionError, match="sample path"):
+            estimate_gap(counts_only, zoo("discrete_no_opt", truncation_depth=200), n=201, trials=2, base_seed=1)
+        with pytest.raises(AssertionError, match="sample path"):
+            estimate_gap(counts_only, zoo("uniform01"), n=1000, trials=2, base_seed=1)
+        # K = 202 atoms fit at n = 202
+        estimate_gap(counts_only, zoo("discrete_no_opt", truncation_depth=200), n=202, trials=2, base_seed=1)
+
+    def test_count_path_agrees_with_sample_path_in_distribution(self):
+        d = zoo("erm_hard")
+        lr = make_erm()
+        counts = estimate_gap(lr, d, n=256, trials=10_000, base_seed=31)
+        samples = estimate_gap(Learner(lr.name, decide=lr.decide), d, n=256, trials=10_000, base_seed=31)
+        assert counts != samples  # the two paths draw differently ...
+        sigma = math.hypot(counts.std_err, samples.std_err)
+        assert abs(counts.mean_gap - samples.mean_gap) <= 5.0 * sigma  # ... from the same law
+
+    def test_k_above_n_keeps_the_sample_path_bits(self):
+        # ERM and const:1 on discrete_no_opt (K = 202 atoms) at n = 100: the
+        # bits every earlier revision gives, and those of the forced sample path
+        d = parse_dist("discrete_no_opt:truncation_depth=200")
+        erm_pt = estimate_gap(make_erm(), d, n=100, trials=300, base_seed=7)
+        assert (erm_pt.mean_gap, erm_pt.std_err) == (0.06096229277098164, 0.004943616693537128)
+        assert erm_pt == estimate_gap(Learner("erm", decide=make_erm().decide), d, n=100, trials=300, base_seed=7)
+        const_pt = estimate_gap(parse_learner("const:1"), zoo("discrete_no_opt"), n=1000, trials=50, base_seed=7)
+        assert (const_pt.mean_gap, const_pt.std_err) == (1.0, 0.0)
+
+    def test_worker_count_invariance_two_point(self):
+        d = two_point(1.0, 3.0, 2.0)
+        seq = learning_curve(make_erm(), d, [2, 20, 40], trials=60, base_seed=5, workers=1)
+        par = learning_curve(make_erm(), d, [2, 20, 40], trials=60, base_seed=5, workers=2)
+        assert seq == par
 
 
 class TestLearningCurve:

@@ -207,6 +207,30 @@ class TestSampling:
         with pytest.raises(ValueError):
             zoo("uniform01").sample(philox(0), 0)
 
+    @pytest.mark.parametrize("spec", ["two_point:p=1,p_prime=3,c=2", "erm_hard", "discrete_no_opt:truncation_depth=50"])
+    def test_count_draws_match_value_draws(self, spec):
+        # the count of each atom in one multinomial draw against the same
+        # table's value draws, per atom within 5 binomial sigma of n * mass
+        n = 50_000
+        d = parse_dist(spec)
+        table = d.atom_table
+        counts = table.draw_counts(philox(zlib.crc32(spec.encode())), n)
+        assert counts.shape == table.values.shape and int(counts.sum()) == n and counts.min() >= 0
+        from_values = np.bincount(np.searchsorted(table.values, d.sample(philox(1), n).values), minlength=counts.size)
+        for got in (counts, from_values):
+            band = 5.0 * np.sqrt(n * table.masses * (1.0 - table.masses)) + 1e-9
+            assert np.all(np.abs(got - n * table.masses) <= band)
+
+    def test_atom_table(self):
+        pmf = parse_dist("finite:1@0.2,10@0.79,1000@0.01")
+        assert pmf.atom_table is pmf.variant
+        hard = zoo("erm_hard", truncation_depth=5)
+        # atoms 4^0..4^5 plus the lump atom 4^6 carrying the residual tail
+        assert np.array_equal(hard.atom_table.values, 4.0 ** np.arange(7))
+        assert np.array_equal(hard.candidate_points(), hard.atom_table.values)
+        assert zoo("uniform01").atom_table is None
+        assert zoo("uniform01").candidate_points().size == 0
+
 
 class TestZoo:
     def test_two_point_solves_q(self):
@@ -332,3 +356,28 @@ class TestFinitePMFValidation:
     def test_rejects_negative_value(self):
         with pytest.raises(InfeasibleParametersError):
             FinitePMF(values=np.array([-1.0, 1.0]), masses=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "values,masses",
+        [
+            ([math.nan], [1.0]),
+            ([1.0, math.inf], [0.5, 0.5]),
+            ([-math.inf, 1.0], [0.5, 0.5]),
+            ([1.0, 2.0], [math.nan, 0.5]),
+            ([1.0, 2.0], [math.inf, 0.5]),
+            ([1.0, 2.0], [0.5, -math.inf]),
+        ],
+    )
+    def test_rejects_non_finite_atoms(self, values, masses):
+        with pytest.raises(InfeasibleParametersError, match="finite"):
+            FinitePMF(values=np.array(values), masses=np.array(masses))
+
+    @pytest.mark.parametrize("spec", ["finite:nan@1", "finite:1@0.5,inf@0.5"])
+    def test_parse_rejects_non_finite_atoms(self, spec):
+        with pytest.raises(InfeasibleParametersError, match="finite"):
+            parse_dist(spec)
+
+    def test_atom_revenues(self):
+        pmf = parse_dist("finite:1@0.2,10@0.79,1000@0.01").variant
+        assert np.allclose(pmf.atom_revenues, [1.0, 8.0, 10.0])
+        assert pmf.optimal_revenue() == OptResult(float(pmf.atom_revenues[2]), 1000.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from revcurve.empirical import EmpiricalDist
 from revcurve.learners import (
     GrowthFns,
+    Learner,
     LearnerProcessError,
     candidate_set,
     capped_erm,
@@ -93,6 +94,58 @@ class TestRevenueKernelMatchesReference:
         assert truncated_erm(emp, n) == ref_best_on(emp, max(math.log(n), 1.0))
         assert capped_erm(emp, n, lambda m: cap) == ref_best_on(emp, cap)
         assert structural_erm(emp, n, lambda m: fn) == ref_structural(emp, fn)
+
+
+@st.composite
+def tie_heavy_counts(draw):
+    """Ascending atoms on a coarse grid with a count per atom, some of them
+    zero, and a cap that is often one of the atoms."""
+    step = draw(st.sampled_from([1.0, 0.25, 0.1, 1 / 3, 2.5]))
+    atoms = np.asarray(sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=10))), dtype=float) * step
+    counts = np.asarray(draw(st.lists(st.integers(0, 30), min_size=atoms.size, max_size=atoms.size)), dtype=np.int64)
+    counts[draw(st.integers(0, atoms.size - 1))] += 1  # n >= 1
+    positive = atoms[atoms > 0].tolist()
+    free_cap = st.floats(min_value=1e-3, max_value=40.0)
+    cap = draw(st.one_of(st.sampled_from(positive), free_cap) if positive else free_cap)
+    return atoms, counts, cap
+
+
+COUNT_SPECS = [
+    "erm",
+    "truncated",
+    "capped",
+    "capped:g=log",
+    "capped:g=n^0.3",
+    "structural",
+    "structural:f=n^-0.4",
+    "structural:f=const:0.05",
+    "const:7",
+]
+
+
+class TestCountFormMatchesSampleForm:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_counts(), st.integers(0, 2**32 - 1))
+    def test_prices_equal_bit_for_bit(self, drawn, shuffle_seed):
+        atoms, counts, cap = drawn
+        n = int(counts.sum())
+        sample = np.repeat(atoms, counts)
+        shuffled = np.random.default_rng(shuffle_seed).permutation(sample)
+        for spec in COUNT_SPECS + [f"capped:g=const:{cap!r}"]:
+            lr = parse_learner(spec)
+            got = lr.decide_counts(atoms, counts, n)
+            assert got == lr.decide(sample, n, None), spec
+            assert got == lr.decide(shuffled, n, None), spec
+
+    def test_custom_growth_has_count_form(self):
+        lr = make_capped(GrowthFns(g=lambda m: 2.5, f=lambda m: 0.1))
+        assert lr.decide_counts(np.array([1.0, 2.5, 4.0]), np.array([3, 0, 2]), 5) == lr.decide(
+            np.array([1.0, 1.0, 1.0, 4.0, 4.0]), 5, None
+        )
+
+    def test_only_symmetric_learners_declare_it(self):
+        assert parse_learner("cmd:cat").decide_counts is None
+        assert Learner(name="mine", decide=lambda values, n, rng: 1.0).decide_counts is None
 
 
 class TestCandidateSet:
