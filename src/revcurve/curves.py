@@ -2,15 +2,21 @@
 for the set of near-optimal prices.
 
 Reproducibility contract: trial t of a curve point at sample size n is driven
-by Generator(Philox(SeedSequence((base_seed, n, t)))).  The per-trial seeding
-is counter-based, so results are bit-identical regardless of how trials are
-scheduled across parallel workers.  On an atomic law with K <= n atoms and a
-symmetric learner (one with decide_counts), a trial draws the count of each
-atom, one multinomial draw from the same sample stream, instead of n values;
-every other trial draws the sample and hands the learner its own stream.
-With workers > 1 a run opens one spawn process pool for its whole grid; each
-worker receives the caller's learner and distribution once, pickled and
-checked before any process starts.
+by Generator(Philox(SeedSequence((base_seed, n, t)))) (see streams.py).  The
+per-trial seeding is counter-based, so results are bit-identical regardless of
+how trials are scheduled across parallel workers.  On an atomic law with
+K <= n atoms and a symmetric learner (one with decide_counts), a trial draws
+the count of each atom, one multinomial draw from the same sample stream,
+instead of n values; every other trial draws the sample and hands the learner
+its own stream.
+
+The loop keeps that contract bit for bit while working on a range of trials
+at once: the sample streams' keys are derived in a batch, count vectors are
+drawn into blocks of rows that decide_counts prices in one call, and each
+distinct price is scored once.  The learner's stream is still a fresh
+SeedSequence-backed Generator per trial.  With workers > 1 a run opens one
+spawn process pool for its whole grid; each worker receives the caller's
+learner and distribution once, pickled and checked before any process starts.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 import math
 import pickle
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -27,6 +33,8 @@ import numpy as np
 
 from .dist import Distribution, FinitePMF
 from .learners import Learner
+from .streams import learner_stream, sample_streams
+from .streams import sample_stream, trial_streams  # noqa: F401  (importable from curves, as before)
 
 __all__ = [
     "CurvePoint",
@@ -121,32 +129,36 @@ class RateFit:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def trial_streams(base_seed: int, n: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Independent (sample, learner) streams for one trial, from a counter-based key."""
-    seq = np.random.SeedSequence((base_seed, n, trial))
-    s1, s2 = seq.spawn(2)
-    return np.random.Generator(np.random.Philox(s1)), np.random.Generator(np.random.Philox(s2))
+_BLOCK_ROWS = 128  # count vectors priced per decide_counts call ...
+_BLOCK_CELLS = 1 << 14  # ... and at most this many counts in one block
 
 
-def sample_stream(base_seed: int, n: int, trial: int) -> np.random.Generator:
-    """The sample stream of trial_streams alone, bit for bit, without the learner's."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, n, trial), spawn_key=(0,))))
+def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
+    prices = np.empty(len(trial_range))
+    streams = sample_streams(base_seed, n, trial_range)
+    table = dist.atom_table
+    if learner.decide_counts is not None and table is not None and table.values.size <= n:
+        rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // table.values.size))
+        for lo in range(0, len(trial_range), rows):
+            counts = np.array([table.draw_counts(rng, n) for rng in islice(streams, rows)])
+            block = np.asarray(learner.decide_counts(table.values, counts, n))
+            if block.shape != (len(counts),):
+                raise ValueError(f"decide_counts returned shape {block.shape} for {len(counts)} rows; it prices each row")
+            prices[lo : lo + len(counts)] = block
+        return prices
+    for i, (t, rng) in enumerate(zip(trial_range, streams)):
+        # s lives until the next sample is drawn: freeing a large sample first
+        # lets malloc trim the heap and fault its pages back in (~1 ms at n=1e5)
+        s = dist.sample(rng, n)
+        prices[i] = learner.decide(s.values, n, learner_stream(base_seed, n, t))
+    return prices
 
 
 def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
-    revs = np.empty(len(trial_range))
-    table = dist.atom_table
-    if learner.decide_counts is not None and table is not None and table.values.size <= n:
-        for i, t in enumerate(trial_range):
-            counts = table.draw_counts(sample_stream(base_seed, n, t), n)
-            revs[i] = dist.revenue(float(learner.decide_counts(table.values, counts, n)))
-        return revs
-    for i, t in enumerate(trial_range):
-        sample_rng, learner_rng = trial_streams(base_seed, n, t)
-        s = dist.sample(sample_rng, n)
-        price = learner.decide(s.values, n, learner_rng)
-        revs[i] = dist.revenue(float(price))
-    return revs
+    """True revenue of each trial's price, scored once per distinct price."""
+    prices = _trial_prices(learner, dist, n, trial_range, base_seed).tolist()
+    revenue = {p: dist.revenue(p) for p in set(prices)}
+    return np.array([revenue[p] for p in prices])
 
 
 _worker_inputs: tuple[Learner, Distribution] | None = None  # set once in each pool worker

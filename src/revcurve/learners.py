@@ -3,12 +3,14 @@ revenue maximization, all exposed through one Learner record.
 
 All four read the sample through one revenue kernel: the distinct sorted
 values u with their empirical revenues u * (n - first) / n, where first[j] is
-the sorted index of u[j]'s first copy.  There are two front doors onto it: a
-sorted sample gives (u, first) directly, and a count vector c over ascending
-atoms gives the drawn atoms and first = cumsum(c) - c, so both price the same
-multiset with the same float expression, bit for bit.  ERM takes the first maximum,
-capped ERM (truncated ERM is capped at max(ln n, 1)) adds the cap itself as a
-candidate, and structural ERM scans the same revenues with its margin.
+the sorted index of u[j]'s first copy.  The rules work row by row along the
+last axis.  There are two front doors onto them: a sorted sample gives one row
+(u, first) directly, and count vectors c over ascending atoms give a row per
+vector, first = cumsum(c) - c, with the undrawn atoms masked out, so both price
+the same multiset with the same float expression, bit for bit.  ERM takes
+the first maximum, capped ERM (truncated ERM is capped at max(ln n, 1)) adds
+the cap itself as a candidate column, and structural ERM scans the same
+revenues with its margin, a running maximum along the row.
 
 Every variant breaks ties toward the smaller price; tail events inflate
 large prices, so the bias is the safe direction.  A learner's decide() is a
@@ -19,6 +21,7 @@ machinery reproducible and parallelizable.
 from __future__ import annotations
 
 import math
+import shlex
 import subprocess
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -90,13 +93,16 @@ def _f_quarter(n: int) -> float:
 class Learner:
     """A pricing rule: decide(values, n, rng) -> posted price.
 
-    decide_counts(values, counts, n) -> price, when set, declares the rule
-    symmetric and deterministic: it prices the sample holding counts[i] copies
-    of values[i] (atoms strictly increasing, finite and nonnegative; counts
-    nonnegative integers summing to n), and returns exactly the float that
-    decide(np.repeat(values, counts), n, rng) returns, for any order of that
+    decide_counts(values, counts, n) -> prices, when set, declares the rule
+    symmetric and deterministic.  It works row by row: counts has shape
+    (..., K) and each row counts[r] describes the sample holding counts[r][i]
+    copies of values[i] (K atoms strictly increasing, finite and nonnegative;
+    counts nonnegative integers, each row summing to n).  It returns one price
+    per row, shape (...), and prices[r] is exactly the float that
+    decide(np.repeat(values, counts[r]), n, rng) returns, for any order of that
     sample and any rng.  Monte Carlo curves on atomic laws then draw only the
-    count of each atom.  Leave it None for any other rule.
+    count of each atom and price a block of trials in one call.  Leave it
+    None for any other rule.
     """
 
     name: str
@@ -114,17 +120,20 @@ def _distinct(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
     return v[first], first
 
 
-def _distinct_counts(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Count-vector front door: the same (u, first) for the sample holding
-    counts[i] copies of the ascending atom values[i]."""
-    drawn = counts > 0
-    c = counts[drawn]
-    return values[drawn], np.cumsum(c) - c
+def _count_view(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Count-vector front door: first = cumsum(c) - c along the last axis (the
+    sorted index of each atom's first copy, had it been drawn) and the mask of
+    drawn atoms."""
+    return np.cumsum(counts, axis=-1) - counts, counts > 0
 
 
 def _revenues(u: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
     """Empirical revenues u * #{v >= u} / m of a sample of size m."""
     return u * (m - first) / m
+
+
+def _masked(x: np.ndarray, drawn: Optional[np.ndarray]) -> np.ndarray:
+    return x if drawn is None else np.where(drawn, x, -np.inf)
 
 
 def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
@@ -139,7 +148,7 @@ def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
 
 def erm(e: EmpiricalDist) -> float:
     """Smallest sample value maximizing empirical revenue."""
-    return _erm_price(*_distinct(e), e.n)
+    return float(_erm_price(*_distinct(e), None, e.n))
 
 
 def truncated_erm(e: EmpiricalDist, n: int) -> float:
@@ -150,7 +159,7 @@ def truncated_erm(e: EmpiricalDist, n: int) -> float:
 def capped_erm(e: EmpiricalDist, n: int, g: Callable[[int], float]) -> float:
     """ERM restricted to prices at most g(n): the best of the sample values
     below the cap and the cap itself, the smaller price winning a tie."""
-    return _capped_price(*_distinct(e), e.n, g(n))
+    return float(_capped_price(*_distinct(e), None, e.n, g(n)))
 
 
 def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float:
@@ -162,41 +171,49 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
     therefore runs over distinct values, which is equivalent to indexing the
     full sorted multiset.
     """
-    return _structural_price(*_distinct(e), e.n, f(n))
+    return float(_structural_price(*_distinct(e), None, e.n, f(n)))
 
 
-# -- the rules, on (u, first) of a sample of size m ---------------------------
+# -- the rules, row by row along the last axis --------------------------------
+#
+# Each rule reads ascending values (shape (K,)), first (shape (..., K)) and the
+# mask of drawn values (None when every value was drawn) of samples of size m,
+# and returns one price per row (shape (...)).  Undrawn values never compete.
 
 
-def _erm_price(u: np.ndarray, first: np.ndarray, m: int) -> float:
-    return float(u[int(np.argmax(_revenues(u, first, m)))])  # argmax returns the first maximum
+def _erm_price(values: np.ndarray, first: np.ndarray, drawn: Optional[np.ndarray], m: int):
+    rev = _masked(_revenues(values, first, m), drawn)
+    return values[np.argmax(rev, axis=-1)]  # argmax returns the first maximum
 
 
-def _capped_price(u: np.ndarray, first: np.ndarray, m: int, cap: float) -> float:
+def _capped_price(values: np.ndarray, first: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
     if cap <= 0.0:
         raise ValueError("growth function must be positive at n")
-    k = int(np.searchsorted(u, cap, side="right"))
-    if k:
-        rev = _revenues(u[:k], first[:k], m)
-        best = int(np.argmax(rev))
-        at_cap = k - 1 if u[k - 1] == cap else k  # first distinct value >= cap
-        count_geq = m - int(first[at_cap]) if at_cap < u.size else 0
-        if rev[best] >= cap * count_geq / m:
-            return float(u[best])
-    return float(cap)
+    k = int(np.searchsorted(values, cap, side="right"))
+    at_cap = int(np.searchsorted(values, cap, side="left"))  # first value >= cap, drawn or not
+    count_geq = m - first[..., at_cap] if at_cap < values.size else np.zeros_like(first[..., 0])
+    cap_rev = cap * count_geq / m
+    if k == 0:
+        return np.full(cap_rev.shape, float(cap))[()]
+    rev = _masked(_revenues(values[:k], first[..., :k], m), None if drawn is None else drawn[..., :k])
+    best = np.argmax(rev, axis=-1)
+    # a value at most the cap wins unless the cap itself earns strictly more
+    return np.where(np.take_along_axis(rev, best[..., None], axis=-1)[..., 0] >= cap_rev, values[best], cap)[()]
 
 
-def _structural_price(u: np.ndarray, first: np.ndarray, m: int, fn: float) -> float:
+def _structural_price(values: np.ndarray, first: np.ndarray, drawn: Optional[np.ndarray], m: int, fn: float):
     if fn < 0.0:
         raise ValueError("confidence scale must be nonnegative")
-    if u.size == 1:
-        return float(u[0])
-    rev = _revenues(u, first, m)
-    # handicap[j] = max over values before j of rev + u*f(n); value j wins iff
-    # its revenue clears handicap plus its own u_j*f(n)
-    handicap = np.maximum.accumulate(rev + u * fn)
-    wins = np.flatnonzero(rev[1:] > handicap[:-1] + u[1:] * fn)
-    return float(u[wins[-1] + 1]) if wins.size else float(u[0])
+    rev = _revenues(values, first, m)
+    # handicap[j] = max over drawn values up to j of rev + u*f(n); value j wins
+    # iff its revenue clears the handicap before it plus its own u_j*f(n).  The
+    # first drawn value (first == 0) wins vacuously; the last winner is the price.
+    handicap = np.maximum.accumulate(_masked(rev + values * fn, drawn), axis=-1)
+    wins = first == 0
+    wins[..., 1:] |= rev[..., 1:] > handicap[..., :-1] + values[1:] * fn
+    if drawn is not None:
+        wins &= drawn
+    return values[values.size - 1 - np.argmax(wins[..., ::-1], axis=-1)]
 
 
 # -- learner records ---------------------------------------------------------
@@ -212,32 +229,38 @@ class _ErmDecide:
 
     def __call__(self, values, n, rng):
         e = EmpiricalDist.from_values(values)
-        return self.price(*_distinct(e), e.n, n)
+        return float(self.price(*_distinct(e), None, e.n, n))
 
-    def price(self, u, first, m, n):
+    def price(self, values, first, drawn, m, n):
         if self.scale is not None:
-            return _structural_price(u, first, m, self.scale(n))
+            return _structural_price(values, first, drawn, m, self.scale(n))
         if self.cap is not None:
-            return _capped_price(u, first, m, self.cap(n))
-        return _erm_price(u, first, m)
+            return _capped_price(values, first, drawn, m, self.cap(n))
+        return _erm_price(values, first, drawn, m)
 
 
 @dataclass(frozen=True)
 class _ErmCounts(_ErmDecide):
-    """The same rule priced from a count vector."""
+    """The same rule priced from count vectors, one price per row."""
 
     def __call__(self, values, counts, n):
-        return self.price(*_distinct_counts(values, counts), n, n)
+        return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts)), n, n)
 
 
 @dataclass(frozen=True)
 class _ConstantDecide:
-    """One record for both front doors: a constant price ignores its data."""
+    """A constant price ignores its data."""
 
     price: float
 
-    def __call__(self, *data):
+    def __call__(self, values, n, rng):
         return self.price
+
+
+@dataclass(frozen=True)
+class _ConstantCounts(_ConstantDecide):
+    def __call__(self, values, counts, n):
+        return np.full(np.shape(counts)[:-1], self.price)[()]
 
 
 def _erm_learner(name: str, config: GrowthFns | None = None, **rule) -> Learner:
@@ -263,7 +286,7 @@ def make_structural(growth: GrowthFns | None = None) -> Learner:
 
 
 def make_constant(price: float) -> Learner:
-    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price), decide_counts=_ConstantDecide(price))
+    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price), decide_counts=_ConstantCounts(price))
 
 
 @dataclass(frozen=True)
@@ -288,7 +311,7 @@ class _SubprocessDecide:
 
 def make_subprocess(command: list[str] | tuple[str, ...], deterministic: bool = False) -> Learner:
     cmd = tuple(command)
-    return Learner(name=f"cmd[{' '.join(cmd)}]", decide=_SubprocessDecide(cmd), deterministic=deterministic)
+    return Learner(name=f"cmd[{shlex.join(cmd)}]", decide=_SubprocessDecide(cmd), deterministic=deterministic)
 
 
 def _parse_growth(expr: str, kind: str) -> tuple[Callable[[int], float], str]:
@@ -324,7 +347,8 @@ def parse_learner(spec: str) -> Learner:
     """Parse a CLI learner spec.
 
     Forms: "erm", "truncated", "capped", "capped:g=sqrt", "structural",
-    "structural:f=n^-0.25", "const:7", "cmd:python prog.py arg".
+    "structural:f=n^-0.25", "const:7", "cmd:python prog.py arg"; a cmd: line is
+    split as a POSIX shell would (shlex), so quoted arguments stay whole.
     """
     name, _, arg = spec.partition(":")
     if name == "erm":
@@ -346,5 +370,5 @@ def parse_learner(spec: str) -> Learner:
     if name == "cmd":
         if not arg:
             raise ValueError("cmd learner needs a command line")
-        return make_subprocess(arg.split())
+        return make_subprocess(shlex.split(arg))
     raise ValueError(f"unknown learner spec {spec!r}")

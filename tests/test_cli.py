@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -163,6 +164,20 @@ class TestCurveCommand:
             capsys,
         )
         assert code == 3 and "infeasible" in err
+
+    def test_cmd_learner_keeps_quoted_arguments(self, tmp_path, capsys):
+        # the command line is split as a shell would, so "print(1.5)" stays one argument
+        spec = f'cmd:{shlex.quote(sys.executable)} -c "print(1.5)"'
+        code, _, _ = run_cli(
+            ["curve", "--learner", spec, "--dist", "two_point:p=1,p_prime=3,c=2", "--grid", "2,3",
+             "--trials", "2", "--workers", "1", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "curve.json").read_text())
+        assert doc["learner"] == f"cmd[{shlex.quote(sys.executable)} -c 'print(1.5)']"
+        # price 1.5 sells with probability 2/3 against opt 2
+        assert [p["mean_gap"] for p in doc["points"]] == [1.0, 1.0]
 
     @pytest.mark.parametrize("spec", ["finite:nan@1", "finite:1@0.5,inf@0.5"])
     def test_non_finite_atom_exit_3(self, tmp_path, capsys, spec):

@@ -263,6 +263,14 @@ class TestCountPath:
         const_pt = estimate_gap(parse_learner("const:1"), zoo("discrete_no_opt"), n=1000, trials=50, base_seed=7)
         assert (const_pt.mean_gap, const_pt.std_err) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("make", [make_capped, make_structural])
+    def test_worker_count_invariance_capped_and_structural(self, make):
+        # 301 trials: not a multiple of the pool's chunk (38) or the 128-row count block
+        d = zoo("erm_hard")
+        seq = learning_curve(make(), d, [16, 64, 256], trials=301, base_seed=17, workers=1)
+        par = learning_curve(make(), d, [16, 64, 256], trials=301, base_seed=17, workers=2)
+        assert seq == par
+
     def test_worker_count_invariance_two_point(self):
         d = two_point(1.0, 3.0, 2.0)
         seq = learning_curve(make_erm(), d, [2, 20, 40], trials=60, base_seed=5, workers=1)

@@ -1,4 +1,5 @@
 import math
+import shlex
 import sys
 
 import numpy as np
@@ -136,6 +137,26 @@ class TestCountFormMatchesSampleForm:
             got = lr.decide_counts(atoms, counts, n)
             assert got == lr.decide(sample, n, None), spec
             assert got == lr.decide(shuffled, n, None), spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_counts(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_row_form_equals_one_row_calls(self, drawn, rows, seed):
+        atoms, counts, cap = drawn
+        n = int(counts.sum())
+        # rows with the same n: the drawn row, then multinomial rows with atoms left out
+        rng = np.random.default_rng(seed)
+        table = [counts]
+        for _ in range(rows - 1):
+            p = rng.random(atoms.size) * (rng.random(atoms.size) < 0.6)
+            p[rng.integers(atoms.size)] += 0.1
+            table.append(rng.multinomial(n, p / p.sum()))
+        table = np.array(table)
+        for spec in COUNT_SPECS + [f"capped:g=const:{cap!r}"]:
+            lr = parse_learner(spec)
+            got = lr.decide_counts(atoms, table, n)
+            assert got.shape == (rows,), spec
+            for row, price in zip(table, got):
+                assert price == lr.decide_counts(atoms, row, n) == lr.decide(np.repeat(atoms, row), n, None), spec
 
     def test_custom_growth_has_count_form(self):
         lr = make_capped(GrowthFns(g=lambda m: 2.5, f=lambda m: 0.1))
@@ -360,6 +381,11 @@ class TestSubprocessLearner:
         lr = make_subprocess([sys.executable, "-c", "print('not a price')"])
         with pytest.raises(LearnerProcessError):
             lr.decide(np.array([1.0]), 1, None)
+
+    def test_spec_keeps_quoted_arguments(self):
+        lr = parse_learner(f'cmd:{shlex.quote(sys.executable)} -c "print(1.5)"')
+        assert lr.decide(np.array([1.0]), 1, None) == 1.5
+        assert lr.name == f"cmd[{shlex.quote(sys.executable)} -c 'print(1.5)']"
 
     def test_spec_string_roundtrip(self):
         lr = parse_learner("cmd:echo 4.25")
