@@ -7,14 +7,15 @@ per-trial seeding is counter-based, so results are bit-identical regardless of
 how trials are scheduled across parallel workers.  On an atomic law with
 K <= n atoms and a symmetric learner (one with decide_counts), a trial draws
 the count of each atom, one multinomial draw from the same sample stream,
-instead of n values; every other trial draws the sample and hands the learner
-its own stream.
+instead of n values; every other trial draws the sample.  A learner with
+decide_counts is deterministic (see Learner), so its decide gets rng=None;
+any other learner gets its trial's own learner stream.
 
 The loop keeps that contract bit for bit while working on a range of trials
 at once: the sample streams' keys are derived in a batch, count vectors are
 drawn into blocks of rows that decide_counts prices in one call, and each
-distinct price is scored once.  The learner's stream is still a fresh
-SeedSequence-backed Generator per trial.  With workers > 1 a run opens one
+distinct price is scored once.  A learner stream, when one is needed, is
+still a fresh SeedSequence-backed Generator per trial.  With workers > 1 a run opens one
 spawn process pool for its whole grid; each worker receives the caller's
 learner and distribution once, pickled and checked before any process starts.
 """
@@ -137,7 +138,8 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
     prices = np.empty(len(trial_range))
     streams = sample_streams(base_seed, n, trial_range)
     table = dist.atom_table
-    if learner.decide_counts is not None and table is not None and table.values.size <= n:
+    counted = learner.decide_counts is not None
+    if counted and table is not None and table.values.size <= n:
         rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // table.values.size))
         for lo in range(0, len(trial_range), rows):
             counts = np.array([table.draw_counts(rng, n) for rng in islice(streams, rows)])
@@ -150,7 +152,8 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
         # s lives until the next sample is drawn: freeing a large sample first
         # lets malloc trim the heap and fault its pages back in (~1 ms at n=1e5)
         s = dist.sample(rng, n)
-        prices[i] = learner.decide(s.values, n, learner_stream(base_seed, n, t))
+        # a count-form rule is deterministic and reads no stream (see Learner)
+        prices[i] = learner.decide(s.values, n, None if counted else learner_stream(base_seed, n, t))
     return prices
 
 

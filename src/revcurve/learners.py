@@ -1,16 +1,19 @@
 """Pricing algorithms: plain, truncated, capped and structural empirical
 revenue maximization, all exposed through one Learner record.
 
-All four read the sample through one revenue kernel: the distinct sorted
-values u with their empirical revenues u * (n - first) / n, where first[j] is
-the sorted index of u[j]'s first copy.  The rules work row by row along the
-last axis.  There are two front doors onto them: a sorted sample gives one row
-(u, first) directly, and count vectors c over ascending atoms give a row per
-vector, first = cumsum(c) - c, with the undrawn atoms masked out, so both price
-the same multiset with the same float expression, bit for bit.  ERM takes
-the first maximum, capped ERM (truncated ERM is capped at max(ln n, 1)) adds
-the cap itself as a candidate column, and structural ERM scans the same
-revenues with its margin, a running maximum along the row.
+All four read the sample through one revenue kernel: ascending values u with
+their empirical revenues u * left / n, where left[j] counts the sample values
+>= u[j].  The rules work row by row along the last axis.  There are two front
+doors onto them: a sorted sample of size m is one row as it is, its values
+with left[i] = m - i (read-only, cached for the latest m), and count vectors c
+over ascending atoms give a row per vector, left = m - (cumsum(c) - c), with
+the undrawn atoms masked out.  In a sorted sample a later copy of a value
+never scores above its first copy (same value, fewer values left, and float
+multiply and divide are monotone), so every rule below picks a first copy,
+and both doors price the same multiset with the same float expression, bit
+for bit.  ERM takes the first maximum, capped ERM (truncated ERM is capped at
+max(ln n, 1)) adds the cap itself as a candidate column, and structural ERM
+scans the same revenues with its margin, a running maximum along the row.
 
 Every variant breaks ties toward the smaller price; tail events inflate
 large prices, so the bias is the safe direction.  A learner's decide() is a
@@ -20,6 +23,7 @@ machinery reproducible and parallelizable.
 
 from __future__ import annotations
 
+import functools
 import math
 import shlex
 import subprocess
@@ -101,7 +105,8 @@ class Learner:
     per row, shape (...), and prices[r] is exactly the float that
     decide(np.repeat(values, counts[r]), n, rng) returns, for any order of that
     sample and any rng.  Monte Carlo curves on atomic laws then draw only the
-    count of each atom and price a block of trials in one call.  Leave it
+    count of each atom and price a block of trials in one call; on a sample
+    they call decide with rng=None and build no learner stream.  Leave it
     None for any other rule.
     """
 
@@ -112,28 +117,37 @@ class Learner:
     decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], float]] = None
 
 
-def _distinct(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-sample front door: the distinct values u, ascending, and first[j],
-    the sorted index of u[j]'s first copy."""
-    v = e.sorted_values
-    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    return v[first], first
+@functools.lru_cache(maxsize=1)
+def _left(m: int) -> np.ndarray:
+    """left[i] = m - i, the number of values >= the i-th of m sorted values (read-only)."""
+    left = np.arange(m, 0, -1)
+    left.flags.writeable = False
+    return left
 
 
-def _count_view(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Count-vector front door: first = cumsum(c) - c along the last axis (the
-    sorted index of each atom's first copy, had it been drawn) and the mask of
-    drawn atoms."""
-    return np.cumsum(counts, axis=-1) - counts, counts > 0
+def _sorted_view(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-sample front door: the sorted values themselves and left."""
+    return e.sorted_values, _left(e.n)
 
 
-def _revenues(u: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
+def _count_view(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Count-vector front door: left = m - (cumsum(c) - c) along the last axis
+    (the number of values >= each atom, drawn or not) and the mask of drawn atoms."""
+    return m - (np.cumsum(counts, axis=-1) - counts), counts > 0
+
+
+def _revenues(u: np.ndarray, left: np.ndarray, m: int) -> np.ndarray:
     """Empirical revenues u * #{v >= u} / m of a sample of size m."""
-    return u * (m - first) / m
+    rev = u * left
+    rev /= m
+    return rev
 
 
-def _masked(x: np.ndarray, drawn: Optional[np.ndarray]) -> np.ndarray:
-    return x if drawn is None else np.where(drawn, x, -np.inf)
+def _mask(x: np.ndarray, drawn: Optional[np.ndarray]) -> np.ndarray:
+    """x with undrawn values set to -inf, in place."""
+    if drawn is not None:
+        x[~drawn] = -np.inf
+    return x
 
 
 def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
@@ -148,7 +162,7 @@ def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
 
 def erm(e: EmpiricalDist) -> float:
     """Smallest sample value maximizing empirical revenue."""
-    return float(_erm_price(*_distinct(e), None, e.n))
+    return float(_erm_price(*_sorted_view(e), None, e.n))
 
 
 def truncated_erm(e: EmpiricalDist, n: int) -> float:
@@ -159,7 +173,7 @@ def truncated_erm(e: EmpiricalDist, n: int) -> float:
 def capped_erm(e: EmpiricalDist, n: int, g: Callable[[int], float]) -> float:
     """ERM restricted to prices at most g(n): the best of the sample values
     below the cap and the cap itself, the smaller price winning a tie."""
-    return float(_capped_price(*_distinct(e), None, e.n, g(n)))
+    return float(_capped_price(*_sorted_view(e), None, e.n, g(n)))
 
 
 def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float:
@@ -167,50 +181,52 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
     margin (p_j + p_i) * f(n); the first price qualifies vacuously.
 
     Duplicate values can never beat their own copies by a positive margin, so
-    only the first occurrence of each distinct value can win; the scan below
-    therefore runs over distinct values, which is equivalent to indexing the
-    full sorted multiset.
+    only the first occurrence of each distinct value can win, and the scan over
+    the full sorted multiset picks the same price as one over distinct values.
     """
-    return float(_structural_price(*_distinct(e), None, e.n, f(n)))
+    return float(_structural_price(*_sorted_view(e), None, e.n, f(n)))
 
 
 # -- the rules, row by row along the last axis --------------------------------
 #
-# Each rule reads ascending values (shape (K,)), first (shape (..., K)) and the
+# Each rule reads ascending values (shape (K,)), left (shape (..., K)) and the
 # mask of drawn values (None when every value was drawn) of samples of size m,
 # and returns one price per row (shape (...)).  Undrawn values never compete.
 
 
-def _erm_price(values: np.ndarray, first: np.ndarray, drawn: Optional[np.ndarray], m: int):
-    rev = _masked(_revenues(values, first, m), drawn)
+def _erm_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int):
+    rev = _mask(_revenues(values, left, m), drawn)
     return values[np.argmax(rev, axis=-1)]  # argmax returns the first maximum
 
 
-def _capped_price(values: np.ndarray, first: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
-    if cap <= 0.0:
-        raise ValueError("growth function must be positive at n")
+def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"growth function must be positive and finite at n, got {cap!r}")
     k = int(np.searchsorted(values, cap, side="right"))
     at_cap = int(np.searchsorted(values, cap, side="left"))  # first value >= cap, drawn or not
-    count_geq = m - first[..., at_cap] if at_cap < values.size else np.zeros_like(first[..., 0])
+    count_geq = left[..., at_cap] if at_cap < values.size else np.zeros_like(left[..., 0])
     cap_rev = cap * count_geq / m
     if k == 0:
         return np.full(cap_rev.shape, float(cap))[()]
-    rev = _masked(_revenues(values[:k], first[..., :k], m), None if drawn is None else drawn[..., :k])
+    rev = _mask(_revenues(values[:k], left[..., :k], m), None if drawn is None else drawn[..., :k])
     best = np.argmax(rev, axis=-1)
     # a value at most the cap wins unless the cap itself earns strictly more
     return np.where(np.take_along_axis(rev, best[..., None], axis=-1)[..., 0] >= cap_rev, values[best], cap)[()]
 
 
-def _structural_price(values: np.ndarray, first: np.ndarray, drawn: Optional[np.ndarray], m: int, fn: float):
-    if fn < 0.0:
-        raise ValueError("confidence scale must be nonnegative")
-    rev = _revenues(values, first, m)
+def _structural_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, fn: float):
+    if not 0.0 <= fn < math.inf:
+        raise ValueError(f"confidence scale must be nonnegative and finite at n, got {fn!r}")
+    rev = _revenues(values, left, m)
     # handicap[j] = max over drawn values up to j of rev + u*f(n); value j wins
     # iff its revenue clears the handicap before it plus its own u_j*f(n).  The
-    # first drawn value (first == 0) wins vacuously; the last winner is the price.
-    handicap = np.maximum.accumulate(_masked(rev + values * fn, drawn), axis=-1)
-    wins = first == 0
-    wins[..., 1:] |= rev[..., 1:] > handicap[..., :-1] + values[1:] * fn
+    # first drawn value (left == m) wins vacuously; the last winner is the price.
+    margin = values * fn
+    handicap = _mask(rev + margin, drawn)
+    np.maximum.accumulate(handicap, axis=-1, out=handicap)
+    handicap[..., :-1] += margin[1:]
+    wins = left == m
+    wins[..., 1:] |= rev[..., 1:] > handicap[..., :-1]
     if drawn is not None:
         wins &= drawn
     return values[values.size - 1 - np.argmax(wins[..., ::-1], axis=-1)]
@@ -229,14 +245,14 @@ class _ErmDecide:
 
     def __call__(self, values, n, rng):
         e = EmpiricalDist.from_values(values)
-        return float(self.price(*_distinct(e), None, e.n, n))
+        return float(self.price(*_sorted_view(e), None, e.n, n))
 
-    def price(self, values, first, drawn, m, n):
+    def price(self, values, left, drawn, m, n):
         if self.scale is not None:
-            return _structural_price(values, first, drawn, m, self.scale(n))
+            return _structural_price(values, left, drawn, m, self.scale(n))
         if self.cap is not None:
-            return _capped_price(values, first, drawn, m, self.cap(n))
-        return _erm_price(values, first, drawn, m)
+            return _capped_price(values, left, drawn, m, self.cap(n))
+        return _erm_price(values, left, drawn, m)
 
 
 @dataclass(frozen=True)
@@ -244,7 +260,7 @@ class _ErmCounts(_ErmDecide):
     """The same rule priced from count vectors, one price per row."""
 
     def __call__(self, values, counts, n):
-        return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts)), n, n)
+        return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts), n), n, n)
 
 
 @dataclass(frozen=True)
@@ -320,10 +336,12 @@ def _parse_growth(expr: str, kind: str) -> tuple[Callable[[int], float], str]:
         return _g_sqrt, "sqrt"
     if expr == "log":
         return _g_log, "log"
-    if expr.startswith("n^"):
-        return _PowerFn(float(expr[2:])), expr
-    if expr.startswith("const:"):
-        return _ConstFn(float(expr[6:])), expr
+    for prefix, fn in (("n^", _PowerFn), ("const:", _ConstFn)):
+        if expr.startswith(prefix):
+            x = float(expr[len(prefix) :])
+            if not math.isfinite(x):
+                raise ValueError(f"{kind} function spec {expr!r} needs a finite number")
+            return fn(x), expr
     raise ValueError(f"cannot parse {kind} function spec {expr!r}")
 
 
@@ -332,7 +350,10 @@ class _PowerFn:
     exponent: float
 
     def __call__(self, n: int) -> float:
-        return float(n) ** self.exponent
+        try:
+            return float(n) ** self.exponent
+        except OverflowError:  # past the float range; the rules refuse a non-finite scale
+            return math.inf
 
 
 @dataclass(frozen=True)

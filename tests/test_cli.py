@@ -345,3 +345,15 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "revcurve", "zoo", "list"], capture_output=True, text=True
         )
         assert proc.returncode == 0 and "erm_hard" in proc.stdout
+
+
+class TestNonFiniteGrowthSpec:
+    @pytest.mark.parametrize("spec", ["structural:f=n^nan", "structural:f=const:inf", "capped:g=const:inf"])
+    def test_exit_2(self, tmp_path, capsys, spec):
+        code, _, err = run_cli(
+            ["curve", "--learner", spec, "--dist", "uniform01", "--grid", "50,100",
+             "--trials", "10", "--seed", "1", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "finite" in err

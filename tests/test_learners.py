@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revcurve import learners
 from revcurve.empirical import EmpiricalDist
 from revcurve.learners import (
     GrowthFns,
@@ -390,3 +391,64 @@ class TestSubprocessLearner:
     def test_spec_string_roundtrip(self):
         lr = parse_learner("cmd:echo 4.25")
         assert lr.decide(np.array([1.0]), 1, None) == 4.25
+
+
+@st.composite
+def large_tie_heavy_sample(draw):
+    """Up to 5,000 values on a coarse grid (NumPy draws them from a seed, so
+    hypothesis need not build each value) and a positive cap that is often one
+    of the sample's own values."""
+    step = draw(st.sampled_from([1.0, 0.25, 0.1, 1 / 3, 2.5]))
+    size, levels, seed = draw(st.integers(1, 5000)), draw(st.integers(1, 60)), draw(st.integers(0, 2**32 - 1))
+    vals = np.random.default_rng(seed).integers(0, levels, size) * step
+    positive = sorted(set(vals[vals > 0].tolist()))
+    free_cap = st.floats(min_value=1e-3, max_value=200.0)
+    cap = draw(st.one_of(st.sampled_from(positive), free_cap) if positive else free_cap)
+    return vals, cap
+
+
+class TestSortedSampleDoor:
+    """The rules price the sorted sample as it is, every copy of every value
+    included, with left[i] = m - i from one cached read-only array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(large_tie_heavy_sample(), st.integers(1, 10**6), st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.3, 1.0]))
+    def test_prices_equal_reference_on_large_samples(self, sample, n, fn):
+        vals, cap = sample
+        emp = e(vals)
+        left = learners._left(emp.n)
+        before = left.copy()
+        assert erm(emp) == ref_erm(emp)
+        assert truncated_erm(emp, n) == ref_best_on(emp, max(math.log(n), 1.0))
+        assert capped_erm(emp, n, lambda m: cap) == ref_best_on(emp, cap)
+        assert structural_erm(emp, n, lambda m: fn) == ref_structural(emp, fn)
+        assert learners._left(emp.n) is left
+        assert np.array_equal(left, before) and np.array_equal(left, emp.n - np.arange(emp.n))
+        assert not left.flags.writeable
+
+
+class TestNonFiniteGrowthRejected:
+    @pytest.mark.parametrize(
+        "spec",
+        ["structural:f=n^nan", "structural:f=const:inf", "structural:f=const:nan", "structural:f=n^-inf",
+         "capped:g=const:inf", "capped:g=const:nan", "capped:g=n^inf", "capped:g=n^nan"],
+    )
+    def test_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            parse_learner(spec)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("make", [make_capped, make_structural])
+    def test_hand_built_growth_rejected_at_pricing(self, make, bad):
+        lr = make(GrowthFns(g=lambda n: bad, f=lambda n: bad, g_name="bad", f_name="bad"))
+        with pytest.raises(ValueError, match="finite"):
+            lr.decide(np.array([1.0, 2.0, 2.0]), 3, None)
+        with pytest.raises(ValueError, match="finite"):
+            lr.decide_counts(np.array([1.0, 2.0]), np.array([[1, 2], [3, 0]]), 3)
+
+    @pytest.mark.parametrize("spec", ["capped:g=n^400", "structural:f=n^400"])
+    def test_overflowing_power_rejected_at_pricing(self, spec):
+        lr = parse_learner(spec)
+        assert lr.decide(np.array([1.0, 2.0]), 1, None) in (1.0, 2.0)  # 1^400 is finite
+        with pytest.raises(ValueError, match="finite"):
+            lr.decide(np.array([1.0, 2.0]), 100, None)

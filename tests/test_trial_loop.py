@@ -15,7 +15,8 @@ from revcurve import curves, streams
 from revcurve.curves import _trial_revenues
 from revcurve.dist import parse_dist
 from revcurve.learners import Learner, make_erm, parse_learner
-from revcurve.streams import sample_stream, sample_streams, stream_keys, trial_streams
+from revcurve.curves import estimate_gap
+from revcurve.streams import learner_stream, sample_stream, sample_streams, stream_keys, trial_streams
 
 
 def reference_trial_revenues(learner, dist, n, trial_range, base_seed):
@@ -159,3 +160,25 @@ class TestBatchedLoopMatchesReference:
         one_price = Learner("scalar", decide=make_erm().decide, decide_counts=lambda values, counts, n: 1.0)
         with pytest.raises(ValueError, match="each row"):
             _trial_revenues(one_price, parse_dist("erm_hard"), 64, range(5), 1)
+
+
+class TestLearnerStreamOnTheSamplePath:
+    """A count-form rule is deterministic, so the sample path hands it no
+    stream; any other learner gets its trial's own learner stream."""
+
+    @pytest.mark.parametrize("law", ["uniform01", "discrete_no_opt:truncation_depth=200"])  # K = 202 > n
+    def test_count_form_gets_none_and_others_their_stream(self, law):
+        seen = []
+
+        def decide(values, n, rng):
+            seen.append(rng)
+            return make_erm().decide(values, n, None)
+
+        dist = parse_dist(law)
+        counted = estimate_gap(Learner("rec", decide=decide, decide_counts=make_erm().decide_counts), dist, 100, 5, 21)
+        assert seen == [None] * 5
+        seen.clear()
+        plain = estimate_gap(Learner("rec", decide=decide), dist, 100, 5, 21)
+        assert len(seen) == 5 and plain == counted
+        for t, rng in enumerate(seen):
+            assert np.array_equal(rng.random(4), learner_stream(21, 100, t).random(4))
