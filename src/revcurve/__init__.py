@@ -41,7 +41,6 @@ from .empirical import EmpiricalDist, Sample, dkw_bound, empirical_dist, sup_cdf
 from .learners import (
     GrowthFns,
     Learner,
-    candidate_set,
     capped_erm,
     erm,
     make_capped,

@@ -99,6 +99,8 @@ def bound_learner_output(
     n = dataset.size
     if not (0.0 < confidence_mass < 1.0):
         raise ValueError("confidence_mass must be in (0, 1)")
+    if trials < 1:
+        raise ValueError(f"probe trials must be >= 1, got {trials}")
     if learner.deterministic:
         return BoundResult(value=float(learner.decide(dataset, n, rng)), exact=True)
     if rng is None:
@@ -127,6 +129,11 @@ class ProbeConfig:
     trials_per_dataset: int = 10_000
     max_datasets_per_level: int = 4_000  # full enumeration up to depth 6 (5^5 = 3125)
     allow_sampling: bool = False  # sample a subset beyond the budget, flagged in the transcript
+
+    def __post_init__(self):
+        for name in ("trials_per_dataset", "max_datasets_per_level"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -409,7 +416,7 @@ def verify_gadget(
         cand = np.concatenate([grid, atoms[atoms >= gp.midpoint], [gp.midpoint]])
     else:
         raise ValueError("sweep_side must be 'low' or 'high'")
-    revs = np.array([dist.revenue(float(p)) for p in cand])
+    revs = dist.revenue(cand)
     worst = int(np.argmax(revs))
     margin = opt - float(revs[worst])
     return GadgetReport(
@@ -445,6 +452,8 @@ def coin_game(p: float, gamma: float, c: float, trials: int, rng: np.random.Gene
     """
     if not (0.0 < gamma < p) or p + gamma >= 1.0:
         raise ValueError("need 0 < gamma < p and p + gamma < 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = math.ceil(c * p / gamma**2)
     if n < 1:
         raise ValueError("sample size c*p/gamma^2 must be >= 1")

@@ -269,23 +269,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="revcurve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="base seed (default: REVCURVE_SEED or builtin)")
-        p.add_argument(
-            "--workers", type=int, default=None, help="parallel trial workers (default: available parallelism)"
-        )
-        p.add_argument("--out", type=str, default=None, help="output directory")
+    # each subcommand declares only the flags it reads
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=None, help="base seed (default: REVCURVE_SEED or builtin)")
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", type=str, default=None, help="output directory")
 
-    p_curve = sub.add_parser("curve", help="estimate a learning curve and fit its decay")
+    p_curve = sub.add_parser("curve", help="estimate a learning curve and fit its decay", parents=[seed_flag, out_flag])
     p_curve.add_argument("--learner", type=str, default=None)
     p_curve.add_argument("--dist", type=str, default=None)
     p_curve.add_argument("--grid", type=str, default=None, help="comma-separated sample sizes")
     p_curve.add_argument("--trials", type=int, default=None)
     p_curve.add_argument("--config", type=str, default=None, help="JSON config; flags override")
-    add_common(p_curve)
+    p_curve.add_argument(
+        "--workers", type=int, default=None, help="parallel trial workers (default: available parallelism)"
+    )
     p_curve.set_defaults(func=partial(_cmd_curve, parser=p_curve))
 
-    p_adv = sub.add_parser("adversary", help="build and validate the slow-rate construction")
+    p_adv = sub.add_parser(
+        "adversary", help="build and validate the slow-rate construction", parents=[seed_flag, out_flag]
+    )
     p_adv.add_argument("--learner", type=str, required=True)
     p_adv.add_argument("--phi", type=str, default="inv", help="target rate: inv, pow:<a>, const:<v>")
     p_adv.add_argument("--depth", type=int, required=True)
@@ -293,35 +296,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--probe-trials", type=int, default=10_000, help="probes per dataset for randomized learners")
     p_adv.add_argument("--max-datasets", type=int, default=4_000)
     p_adv.add_argument("--allow-sampling", action="store_true")
-    add_common(p_adv)
     p_adv.set_defaults(func=_cmd_adversary)
 
-    p_gadget = sub.add_parser("gadget", help="build both gadget members and verify their margins")
+    p_gadget = sub.add_parser(
+        "gadget", help="build both gadget members and verify their margins", parents=[seed_flag, out_flag]
+    )
     p_gadget.add_argument("--x", type=float, required=True)
     p_gadget.add_argument("--q", type=float, required=True)
     p_gadget.add_argument("--p", type=float, required=True)
     p_gadget.add_argument("--gamma", type=float, default=None, help="default: min(p, x - x_pq)/50")
     p_gadget.add_argument("--trials", type=int, default=10_000)
-    add_common(p_gadget)
     p_gadget.set_defaults(func=_cmd_gadget)
 
-    p_coin = sub.add_parser("coin", help="run the coin-distinguishing game")
+    p_coin = sub.add_parser("coin", help="run the coin-distinguishing game", parents=[seed_flag])
     p_coin.add_argument("--p", type=float, required=True)
     p_coin.add_argument("--gamma", type=float, required=True)
     p_coin.add_argument("--c", type=float, required=True)
     p_coin.add_argument("--trials", type=int, default=100_000)
-    add_common(p_coin)
     p_coin.set_defaults(func=_cmd_coin)
 
     p_fit = sub.add_parser("fit", help="fit decay models to a curve CSV")
     p_fit.add_argument("--csv", type=str, required=True)
     p_fit.add_argument("--model", type=str, default="both", choices=("power", "exponential", "both"))
-    add_common(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_zoo = sub.add_parser("zoo", help="inspect the distribution zoo")
     p_zoo.add_argument("action", type=str, help="list")
-    add_common(p_zoo)
     p_zoo.set_defaults(func=_cmd_zoo)
 
     return parser

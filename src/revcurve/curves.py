@@ -13,11 +13,12 @@ any other learner gets its trial's own learner stream.
 
 The loop keeps that contract bit for bit while working on a range of trials
 at once: the sample streams' keys are derived in a batch, count vectors are
-drawn into blocks of rows that decide_counts prices in one call, and each
-distinct price is scored once.  A learner stream, when one is needed, is
-still a fresh SeedSequence-backed Generator per trial.  With workers > 1 a run opens one
-spawn process pool for its whole grid; each worker receives the caller's
-learner and distribution once, pickled and checked before any process starts.
+drawn into blocks of rows that decide_counts prices in one call, and the
+range's prices are scored against the law in one call.  A learner stream,
+when one is needed, is still a fresh SeedSequence-backed Generator per trial.
+With workers > 1 a run opens one spawn process pool for its whole grid; each
+worker receives the caller's learner and distribution once, pickled and
+checked before any process starts.
 """
 
 from __future__ import annotations
@@ -158,10 +159,8 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
 
 
 def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
-    """True revenue of each trial's price, scored once per distinct price."""
-    prices = _trial_prices(learner, dist, n, trial_range, base_seed).tolist()
-    revenue = {p: dist.revenue(p) for p in set(prices)}
-    return np.array([revenue[p] for p in prices])
+    """True revenue of each trial's price."""
+    return dist.revenue(_trial_prices(learner, dist, n, trial_range, base_seed))
 
 
 _worker_inputs: tuple[Learner, Distribution] | None = None  # set once in each pool worker
@@ -316,7 +315,7 @@ def _teps_pieces(pmf: FinitePMF, opt: float, eps: float) -> list[tuple[float, fl
         raise ValueError("eps >= optimal revenue: every large price qualifies and the set is unbounded")
     tol = 1e-12 * max(1.0, opt)
     vals = pmf.values
-    tails = pmf.survival_many(vals)
+    tails = pmf.survival(vals)
     pieces = []
     prev = 0.0
     for v, s in zip(vals, tails):

@@ -9,8 +9,8 @@ Conventions (used by every module downstream):
 Three variants sit behind one `Distribution` wrapper:
   FinitePMF       exact atoms; optimum by enumeration
   TailRuleDist    countable support given by index rules k -> (value, survival);
-                  materialized to a finite depth for sampling, with the residual
-                  tail lumped onto one extra atom
+                  queries answer on the rule, draws come from its table to a
+                  finite depth, with the residual tail lumped onto one extra atom
   ContinuousDist  CDF/quantile pair; optimum by bracketing grid plus
                   golden-section refinement
 """
@@ -103,11 +103,7 @@ class FinitePMF:
         c[-1] = 1.0
         return c
 
-    def survival(self, p: float, strict: bool = False) -> float:
-        side = "right" if strict else "left"
-        return float(self._tail[np.searchsorted(self.values, p, side=side)])
-
-    def survival_many(self, p: np.ndarray, strict: bool = False) -> np.ndarray:
+    def survival(self, p, strict: bool = False):
         side = "right" if strict else "left"
         return self._tail[np.searchsorted(self.values, p, side=side)]
 
@@ -135,12 +131,14 @@ class TailRuleDist:
     """Countable support via index rules, truncated to a finite depth for sampling.
 
     value_fn(k) is strictly increasing, survival_fn(k) = Pr[v >= value_fn(k)]
-    with survival_fn(0) = 1.  `revenue_limit` is the limiting tail revenue when
-    the rule admits one (math.inf is allowed); the supremum over the whole rule
-    is assumed to be max(best atom up to the truncation depth, revenue_limit),
-    which holds for every rule shipped here because the tail revenue is
-    monotone.  Sampling draws from the materialized atoms, with the residual
-    tail mass lumped onto one extra atom at value_fn(depth + 1).
+    with survival_fn(0) = 1.  Every query (survival, revenue, optimum) answers
+    on the rule itself.  Draws come from the table of the first depth + 2
+    atoms, with the tail past value_fn(depth + 1) lumped onto that last atom
+    and the masses renormalised; the two laws agree on [0, value_fn(depth + 1)].
+    `revenue_limit` is the limiting tail revenue when the rule admits one
+    (math.inf is allowed); the supremum over the whole rule is assumed to be
+    max(best atom in the table, revenue_limit), which holds for every rule
+    shipped here because the tail revenue is monotone.
     """
 
     rule_name: str
@@ -151,28 +149,28 @@ class TailRuleDist:
     params: dict = field(default_factory=dict)
 
     @cached_property
-    def _materialized(self) -> FinitePMF:
-        k_range = np.arange(self.truncation_depth + 1)
-        vals = np.array([self.value_fn(int(k)) for k in k_range], dtype=np.float64)
-        surv = np.array([self.survival_fn(int(k)) for k in k_range], dtype=np.float64)
-        tail = self.survival_fn(self.truncation_depth + 1)
-        masses = np.append(surv[:-1] - surv[1:], surv[-1] - tail)
-        vals = np.append(vals, self.value_fn(self.truncation_depth + 1))
-        masses = np.append(masses, tail)
-        masses = masses / masses.sum()
-        return FinitePMF(values=vals, masses=masses)
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """value_fn(k) and survival_fn(k) for k = 0..depth+1, read straight
+        from the rule (a cumsum of masses would drift from it in the last bit)."""
+        k_range = range(self.truncation_depth + 2)
+        vals = np.array([self.value_fn(k) for k in k_range], dtype=np.float64)
+        surv = np.array([self.survival_fn(k) for k in k_range], dtype=np.float64)
+        return vals, surv
 
-    def _index_at(self, p: float, strict: bool) -> Optional[int]:
-        """Smallest k with value_fn(k) >= p (> p when strict), or None below the support."""
+    @cached_property
+    def _materialized(self) -> FinitePMF:
+        vals, surv = self._table
+        masses = np.append(surv[:-1] - surv[1:], surv[-1])  # the lump atom carries the tail
+        return FinitePMF(values=vals, masses=masses / masses.sum())
+
+    def _index_at(self, p: float, strict: bool) -> int:
+        """Smallest k with value_fn(k) >= p (> p when strict), for a price past the table."""
         cmp = (lambda v: v > p) if strict else (lambda v: v >= p)
-        if cmp(self.value_fn(0)):
-            return None
-        hi = 1
+        lo = hi = self.truncation_depth + 1  # value_fn(lo) fails cmp
         while not cmp(self.value_fn(hi)):
-            hi *= 2
+            lo, hi = hi, 2 * hi
             if hi > 1 << 60:
                 raise RuntimeError("tail rule support search failed to bracket the price")
-        lo = hi // 2  # value_fn(lo) fails cmp
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if cmp(self.value_fn(mid)):
@@ -181,23 +179,22 @@ class TailRuleDist:
                 lo = mid
         return hi
 
-    def survival(self, p: float, strict: bool = False) -> float:
-        k = self._index_at(p, strict)
-        return 1.0 if k is None else float(self.survival_fn(k))
-
-    def survival_many(self, p: np.ndarray, strict: bool = False) -> np.ndarray:
-        # exact on [0, value_fn(depth + 1)] because the lump atom carries the
-        # whole residual tail; sample values never land beyond it
-        return self._materialized.survival_many(p, strict)
+    def survival(self, p, strict: bool = False):
+        vals, surv = self._table
+        p = np.asarray(p, dtype=np.float64)
+        idx = np.searchsorted(vals, p, side="right" if strict else "left")
+        s = np.asarray(surv[np.minimum(idx, vals.size - 1)])
+        for i in np.flatnonzero(idx == vals.size):  # past the lump atom: ask the rule
+            s.flat[i] = self.survival_fn(self._index_at(float(p.flat[i]), strict))
+        return s
 
     def optimal_revenue(self) -> OptResult:
-        k_range = range(self.truncation_depth + 1)
-        revs = [self.value_fn(k) * self.survival_fn(k) for k in k_range]
-        best = int(np.argmax(revs))
-        atom_best = revs[best]
-        if self.revenue_limit is not None and self.revenue_limit > atom_best:
+        vals, surv = self._table
+        rev = vals * surv
+        best = int(np.argmax(rev))
+        if self.revenue_limit is not None and self.revenue_limit > rev[best]:
             return OptResult(float(self.revenue_limit), None)
-        return OptResult(float(atom_best), float(self.value_fn(best)))
+        return OptResult(float(rev[best]), float(vals[best]))
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self._materialized.draw(rng, n)
@@ -220,14 +217,8 @@ class ContinuousDist:
     revenue_sup: Optional[float] = None
     params: dict = field(default_factory=dict)
 
-    def survival(self, p: float, strict: bool = False) -> float:
-        return 1.0 - float(self.cdf_fn(p))
-
-    def survival_many(self, p: np.ndarray, strict: bool = False) -> np.ndarray:
+    def survival(self, p, strict: bool = False):
         return 1.0 - np.asarray(self.cdf_fn(p), dtype=np.float64)
-
-    def _revenue_grid(self, p: np.ndarray) -> np.ndarray:
-        return p * self.survival_many(p)
 
     def optimal_revenue(self) -> OptResult:
         if self.revenue_sup is not None:
@@ -236,7 +227,7 @@ class ContinuousDist:
         expansions = 0
         while True:
             grid = np.linspace(0.0, hi, _OPT_GRID_POINTS)
-            rev = self._revenue_grid(grid)
+            rev = grid * self.survival(grid)
             i = int(np.argmax(rev))
             if self.support_upper is not None or i < _OPT_GRID_POINTS - 2:
                 break
@@ -250,7 +241,7 @@ class ContinuousDist:
             hi *= 2.0
         lo_b = float(grid[max(i - 1, 0)])
         hi_b = float(grid[min(i + 1, _OPT_GRID_POINTS - 1)])
-        p_star, v_star = _golden_max(lambda p: float(self._revenue_grid(np.array([p]))[0]), lo_b, hi_b, _OPT_TOL)
+        p_star, v_star = _golden_max(lambda p: float(p * self.survival(p)), lo_b, hi_b, _OPT_TOL)
         interior = 0 < i < _OPT_GRID_POINTS - 1
         exceeds_edges = v_star > float(rev[0]) + 1e-9 and v_star > float(rev[-1]) + 1e-9
         if interior and exceeds_edges:
@@ -282,48 +273,54 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
 
 @dataclass(frozen=True)
 class Distribution:
-    """One valuation distribution: a labelled variant plus the shared query API."""
+    """One valuation distribution: a labelled variant plus the shared query API.
+
+    Each price query takes a price or an array of prices and answers in kind:
+    a float for a float, an array of the same shape for an array, element by
+    element the same bits as the floats one at a time.
+    """
 
     label: str
     variant: FinitePMF | TailRuleDist | ContinuousDist
 
-    def survival(self, p: float) -> float:
-        """Pr[v >= p]; an atom exactly at p counts toward the mass."""
-        if p < 0.0:
-            raise ValueError("price must be nonnegative")
-        return self.variant.survival(p, strict=False)
+    def _survival(self, p, strict: bool):
+        x = np.asarray(p, dtype=np.float64)
+        bad = ~(x >= 0.0)  # negative or NaN
+        if bad.any():
+            raise ValueError(f"price must be nonnegative, got {float(x[bad][0])!r}")
+        s = self.variant.survival(x, strict=strict)
+        return float(s) if x.ndim == 0 else s
 
-    def survival_strict(self, p: float) -> float:
-        """Pr[v > p]."""
-        if p < 0.0:
-            raise ValueError("price must be nonnegative")
-        return self.variant.survival(p, strict=True)
+    def survival(self, p):
+        """Pr[v >= p], a float for a float; an atom exactly at p counts toward the
+        mass, and a NaN or negative price raises."""
+        return self._survival(p, strict=False)
 
-    def cdf(self, p: float) -> float:
-        """Pr[v < p]."""
-        return 1.0 - self.variant.survival(p, strict=False) if p > 0.0 else 0.0
+    def survival_strict(self, p):
+        """Pr[v > p], a float for a float."""
+        return self._survival(p, strict=True)
 
-    def cdf_right(self, p: float) -> float:
-        """Pr[v <= p]."""
-        if p < 0.0:
-            return 0.0
-        return 1.0 - self.variant.survival(p, strict=True)
+    def cdf(self, p):
+        """Pr[v < p], a float for a float; 0 at every p <= 0."""
+        x = np.asarray(p, dtype=np.float64)
+        f = np.where(x > 0.0, 1.0 - self._survival(np.maximum(x, 0.0), strict=False), 0.0)
+        return float(f) if x.ndim == 0 else f
 
-    def cdf_many(self, p: np.ndarray) -> np.ndarray:
-        """Vectorized Pr[v < p]."""
-        p = np.asarray(p, dtype=np.float64)
-        return np.where(p > 0.0, 1.0 - self.variant.survival_many(np.maximum(p, 0.0), strict=False), 0.0)
+    def cdf_right(self, p):
+        """Pr[v <= p], a float for a float; 0 at every p < 0."""
+        x = np.asarray(p, dtype=np.float64)
+        f = np.where(x >= 0.0, 1.0 - self._survival(np.maximum(x, 0.0), strict=True), 0.0)
+        return float(f) if x.ndim == 0 else f
 
-    def cdf_right_many(self, p: np.ndarray) -> np.ndarray:
-        """Vectorized Pr[v <= p]."""
-        p = np.asarray(p, dtype=np.float64)
-        return np.where(p >= 0.0, 1.0 - self.variant.survival_many(np.maximum(p, 0.0), strict=True), 0.0)
-
-    def revenue(self, p: float) -> float:
-        """Expected payment p * Pr[v >= p] of posting price p."""
-        if not 0.0 <= p < math.inf:
-            raise ValueError(f"price must be finite and nonnegative, got {p!r}")
-        return p * self.variant.survival(p, strict=False)
+    def revenue(self, p):
+        """Expected payment p * Pr[v >= p] of posting price p, a float for a
+        float; a NaN, infinite or negative price raises, named in the message."""
+        x = np.asarray(p, dtype=np.float64)
+        bad = ~((x >= 0.0) & (x < math.inf))
+        if bad.any():
+            raise ValueError(f"price must be finite and nonnegative, got {float(x[bad][0])!r}")
+        rev = x * self.variant.survival(x, strict=False)
+        return float(rev) if x.ndim == 0 else rev
 
     def optimal_revenue(self) -> OptResult:
         """sup_p revenue(p); price is None when the sup is attained by no price."""

@@ -95,17 +95,20 @@ def dkw_bound(n: int, eps: float) -> float:
 def sup_cdf_deviation(e: EmpiricalDist, dist) -> float:
     """Exact sup_x |F_n(x) - F(x)| against a distribution with exact CDF queries.
 
-    `dist` must expose cdf_many(xs) = Pr[v < x], cdf_right_many(xs) = Pr[v <= x]
-    and candidate_points() (its atom locations, empty for continuous laws).
+    `dist` must expose cdf(xs) = Pr[v < x] and cdf_right(xs) = Pr[v <= x],
+    each taking an array and answering element by element, and
+    candidate_points() (its atom locations, empty for continuous laws).
     Both step functions only move at sample values and atoms, and between those
     points F is monotone, so evaluating both one-sided limits at every
-    candidate point captures the supremum exactly.
+    candidate point captures the supremum exactly.  A tail-rule law is
+    compared as the rule, not as its sampling table, so the tail mass the
+    table lumps onto its last atom shows as a deviation there.
     """
     pts = np.unique(np.concatenate([e.sorted_values, np.asarray(dist.candidate_points(), dtype=np.float64)]))
     fn_left = np.searchsorted(e.sorted_values, pts, side="left") / e.n
     fn_right = np.searchsorted(e.sorted_values, pts, side="right") / e.n
     dev = np.maximum(
-        np.abs(fn_left - dist.cdf_many(pts)),
-        np.abs(fn_right - dist.cdf_right_many(pts)),
+        np.abs(fn_left - dist.cdf(pts)),
+        np.abs(fn_right - dist.cdf_right(pts)),
     )
     return float(dev.max())

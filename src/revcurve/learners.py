@@ -38,7 +38,6 @@ __all__ = [
     "GrowthFns",
     "Learner",
     "LearnerProcessError",
-    "candidate_set",
     "erm",
     "truncated_erm",
     "capped_erm",
@@ -148,16 +147,6 @@ def _mask(x: np.ndarray, drawn: Optional[np.ndarray]) -> np.ndarray:
     if drawn is not None:
         x[~drawn] = -np.inf
     return x
-
-
-def candidate_set(e: EmpiricalDist, cap: float) -> np.ndarray:
-    """Sample values at most cap, plus the cap itself; the empirical-revenue
-    maximum over [0, cap] is attained on this set."""
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
-    vals = e.sorted_values
-    kept = vals[vals <= cap]
-    return np.unique(np.append(kept, cap))
 
 
 def erm(e: EmpiricalDist) -> float:

@@ -331,6 +331,39 @@ class TestCoinAndFit:
         assert code == 2
 
 
+class TestDeclaredFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--trials", "0"],
+            ["gadget", "--x", "1.0", "--q", "0.5", "--p", "0.05", "--trials", "0"],
+            ["adversary", "--learner", f"cmd:{shlex.quote(sys.executable)} -c print(1.0)", "--depth", "3",
+             "--probe-trials", "0"],
+            ["adversary", "--learner", "erm", "--depth", "3", "--max-datasets", "0", "--allow-sampling"],
+        ],
+    )
+    def test_non_positive_count_exit_2(self, args, tmp_path, capsys):
+        out = [] if args[0] == "coin" else ["--out", str(tmp_path)]
+        code, _, err = run_cli(args + out, capsys)
+        assert code == 2 and "must be >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["adversary", "--learner", "erm", "--depth", "3", "--workers", "2"],
+            ["zoo", "list", "--seed", "1"],
+            ["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--out", "unused"],
+            ["fit", "--csv", "curve.csv", "--seed", "1"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestZooCommand:
     def test_list(self, capsys):
         code, out, _ = run_cli(["zoo", "list"], capsys)

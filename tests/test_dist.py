@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcurve.dist import (
     ContinuousDist,
@@ -75,6 +77,85 @@ class TestSurvivalAndRevenue:
             grid = np.linspace(0.0, 30.0, 301)
             s = [d.survival(float(p)) for p in grid]
             assert all(a >= b - 1e-12 for a, b in zip(s, s[1:])), name
+
+
+# every zoo law, plus a shallow tail rule whose lump atom sits at 22
+QUERY_LAWS = {
+    spec: parse_dist(spec)
+    for spec in (
+        "erm_hard",
+        "discrete_no_opt",
+        "discrete_no_opt:truncation_depth=20",
+        "regular_no_opt",
+        "regular_no_opt2",
+        "uniform01",
+        "two_point:p=1,p_prime=3,c=2",
+        "finite:1@0.2,10@0.79,1000@0.01",
+    )
+}
+QUERIES = ("survival", "survival_strict", "cdf", "cdf_right", "revenue")
+
+
+@st.composite
+def law_and_prices(draw):
+    """A law and prices on its atoms, between them, below the support and past the lump."""
+    spec = draw(st.sampled_from(sorted(QUERY_LAWS)))
+    atoms = QUERY_LAWS[spec].candidate_points()
+    kinds = [st.floats(0.0, 1e6)]
+    if atoms.size:
+        k = st.integers(0, atoms.size - 1)
+        kinds += [
+            k.map(lambda i: float(atoms[i])),
+            k.filter(lambda i: i + 1 < atoms.size).map(lambda i: float(atoms[i] + atoms[i + 1]) / 2.0),
+            st.floats(0.0, 1.0, exclude_max=True).map(lambda u: u * float(atoms[0])),
+            st.floats(1.0, 1e3, exclude_min=True).map(lambda u: u * float(atoms[-1])),
+        ]
+    return spec, draw(st.lists(st.one_of(kinds), min_size=1, max_size=12))
+
+
+class TestArrayQueries:
+    """One query per law: an array of prices answers exactly as the prices one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law_and_prices())
+    def test_array_answers_equal_float_answers(self, case):
+        spec, prices = case
+        d = QUERY_LAWS[spec]
+        for name in QUERIES:
+            query = getattr(d, name)
+            got = query(np.array(prices))
+            assert got.shape == (len(prices),), (spec, name)
+            one_by_one = [query(p) for p in prices]
+            assert all(type(x) is float for x in one_by_one), (spec, name)
+            assert got.tolist() == one_by_one, (spec, name, prices)
+
+    def test_tail_rule_survival_is_the_rule_at_depth_10000(self):
+        # up to the lump atom the table is read, past it the rule; both
+        # answer survival_fn(k) to the bit (a cumsum of the masses drifts)
+        d = zoo("discrete_no_opt")
+        rule = d.variant
+        depth = rule.truncation_depth
+        ks = [0, 1, 2, 777, depth - 1, depth, depth + 1, depth + 2, depth + 3, 2 * depth, 123_456]
+        at = np.array([rule.value_fn(k) for k in ks])
+        assert d.survival(at).tolist() == [rule.survival_fn(k) for k in ks]
+        assert d.survival_strict(at).tolist() == [rule.survival_fn(k + 1) for k in ks]
+        assert [d.survival(float(v)) for v in at] == [rule.survival_fn(k) for k in ks]
+
+    def test_shallow_tail_rule_answers_past_the_lump(self):
+        d = parse_dist("discrete_no_opt:truncation_depth=20")
+        assert d.survival(np.array([30.0])).tolist() == [d.survival(30.0)] == [2.0 / 31.0]
+        assert d.revenue(np.array([30.0]))[0] == pytest.approx(60.0 / 31.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("query", ["survival", "survival_strict", "revenue"])
+    def test_bad_price_inside_array_raises(self, query, bad):
+        d = zoo("erm_hard")
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            getattr(d, query)(np.array([1.0, 4.0, bad, 2.0]))
+
+    def test_revenue_names_first_non_finite_price(self):
+        with pytest.raises(ValueError, match="got inf"):
+            zoo("uniform01").revenue(np.array([0.5, math.inf, math.nan]))
 
 
 class TestOptimalRevenue:

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from revcurve.dist import zoo
+from revcurve.dist import parse_dist, zoo
 from revcurve.empirical import EmpiricalDist, Sample, dkw_bound, empirical_dist, sup_cdf_deviation
-from revcurve.learners import candidate_set
 
 
 def philox(seed):
@@ -79,7 +78,7 @@ class TestEmpiricalRevenue:
             vals = rng.random(int(rng.integers(1, 25))) * 8
             e = EmpiricalDist.from_values(vals)
             cap = float(rng.random() * 9 + 0.1)
-            cands = candidate_set(e, cap)
+            cands = np.append(e.sorted_values[e.sorted_values <= cap], cap)
             best = max(e.revenue(float(c)) for c in cands)
             for p in np.linspace(0.0, cap, 400):
                 assert e.revenue(float(p)) <= best + 1e-12
@@ -127,6 +126,14 @@ class TestSupCdfDeviation:
                     f = d.cdf(float(x)) if side == "left" else d.cdf_right(float(x))
                     want = max(want, abs(float(fn) - f))
             assert got == pytest.approx(want, abs=1e-15)
+
+    def test_tail_rule_compared_as_the_rule(self):
+        # draws come from a table whose last atom, 22, carries the rule's whole
+        # tail Pr[v >= 22] = 2/23; the rule puts 2/24 of it above 22, so the
+        # sample's CDF is 1 at 22 where the law's is 1 - 2/24
+        d = parse_dist("discrete_no_opt:truncation_depth=20")
+        vals = d.sample(philox(12), 2000).values
+        assert sup_cdf_deviation(EmpiricalDist.from_values(vals), d) >= 2.0 / 24.0 - 1e-15
 
     def test_uniform_large_sample_small_deviation(self):
         # DKW at eps = 0.01, n = 1e5 leaves failure mass 2e^-20; all seeded trials pass

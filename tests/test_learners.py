@@ -13,7 +13,6 @@ from revcurve.learners import (
     GrowthFns,
     Learner,
     LearnerProcessError,
-    candidate_set,
     capped_erm,
     default_growth,
     erm,
@@ -168,21 +167,6 @@ class TestCountFormMatchesSampleForm:
     def test_only_symmetric_learners_declare_it(self):
         assert parse_learner("cmd:cat").decide_counts is None
         assert Learner(name="mine", decide=lambda values, n, rng: 1.0).decide_counts is None
-
-
-class TestCandidateSet:
-    def test_filter_plus_cap(self):
-        assert list(candidate_set(e([1, 2, 8]), 3.0)) == [1.0, 2.0, 3.0]
-
-    def test_all_above_cap(self):
-        assert list(candidate_set(e([5, 9]), 3.0)) == [3.0]
-
-    def test_dedup_with_cap(self):
-        assert list(candidate_set(e([1]), 1.0)) == [1.0]
-
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            candidate_set(e([1]), 0.0)
 
 
 class TestErm:
