@@ -17,6 +17,7 @@ Three variants sit behind one `Distribution` wrapper:
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,9 +133,10 @@ class TailRuleDist:
 
     value_fn(k) is strictly increasing, survival_fn(k) = Pr[v >= value_fn(k)]
     with survival_fn(0) = 1.  Every query (survival, revenue, optimum) answers
-    on the rule itself.  Draws come from the table of the first depth + 2
-    atoms, with the tail past value_fn(depth + 1) lumped onto that last atom
-    and the masses renormalised; the two laws agree on [0, value_fn(depth + 1)].
+    on the rule itself at every price, +inf included.  Draws come from the
+    table of the first depth + 2 atoms (depth >= 0), with the tail past
+    value_fn(depth + 1) lumped onto that last atom and the masses
+    renormalised; the two laws agree on [0, value_fn(depth + 1)].
     `revenue_limit` is the limiting tail revenue when the rule admits one
     (math.inf is allowed); the supremum over the whole rule is assumed to be
     max(best atom in the table, revenue_limit), which holds for every rule
@@ -147,6 +149,10 @@ class TailRuleDist:
     truncation_depth: int
     revenue_limit: Optional[float] = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.truncation_depth < 0:
+            raise InfeasibleParametersError(f"{self.rule_name}: truncation_depth {self.truncation_depth!r} is below 0")
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,21 +169,27 @@ class TailRuleDist:
         masses = np.append(surv[:-1] - surv[1:], surv[-1])  # the lump atom carries the tail
         return FinitePMF(values=vals, masses=masses / masses.sum())
 
-    def _index_at(self, p: float, strict: bool) -> int:
-        """Smallest k with value_fn(k) >= p (> p when strict), for a price past the table."""
-        cmp = (lambda v: v > p) if strict else (lambda v: v >= p)
-        lo = hi = self.truncation_depth + 1  # value_fn(lo) fails cmp
-        while not cmp(self.value_fn(hi)):
+    def _rule_survival(self, p: float, strict: bool) -> float:
+        """survival_fn at the smallest k with value_fn(k) >= p (> p when strict),
+        for a price past the table; a value_fn that overflows counts as +inf."""
+        if p == math.inf:
+            return 0.0
+
+        def reaches(k: int) -> bool:
+            try:
+                return self.value_fn(k) > p if strict else self.value_fn(k) >= p
+            except OverflowError:  # a value past every float
+                return True
+
+        lo = hi = self.truncation_depth + 1  # value_fn(lo) falls short of p
+        while not reaches(hi):
+            if self.survival_fn(hi) == 0.0:  # Pr[v >= p] <= Pr[v >= value_fn(hi)] = 0
+                return 0.0
             lo, hi = hi, 2 * hi
-            if hi > 1 << 60:
-                raise RuntimeError("tail rule support search failed to bracket the price")
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if cmp(self.value_fn(mid)):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+        return self.survival_fn(hi)
 
     def survival(self, p, strict: bool = False):
         vals, surv = self._table
@@ -185,7 +197,7 @@ class TailRuleDist:
         idx = np.searchsorted(vals, p, side="right" if strict else "left")
         s = np.asarray(surv[np.minimum(idx, vals.size - 1)])
         for i in np.flatnonzero(idx == vals.size):  # past the lump atom: ask the rule
-            s.flat[i] = self.survival_fn(self._index_at(float(p.flat[i]), strict))
+            s.flat[i] = self._rule_survival(float(p.flat[i]), strict)
         return s
 
     def optimal_revenue(self) -> OptResult:
@@ -356,7 +368,7 @@ class Distribution:
                 "variant": "finite_pmf",
                 "atoms": [[float(a), float(m)] for a, m in zip(v.values, v.masses)],
             }
-        if v.rule_name not in zoo_names():
+        if v.rule_name not in _ZOO:
             raise ValueError(f"{self.label}: rule {v.rule_name!r} is not in the zoo, so from_dict could not rebuild it")
         doc = {"label": self.label, "variant": "continuous", "rule_name": v.rule_name, "params": dict(v.params)}
         if isinstance(v, TailRuleDist):
@@ -367,15 +379,13 @@ class Distribution:
     def from_dict(doc: dict) -> "Distribution":
         variant = doc["variant"]
         if variant == "finite_pmf":
-            atoms = doc["atoms"]
-            pmf = FinitePMF(
-                values=np.array([a[0] for a in atoms], dtype=np.float64),
-                masses=np.array([a[1] for a in atoms], dtype=np.float64),
-            )
-            return Distribution(label=doc.get("label", "finite_pmf"), variant=pmf)
-        if variant in ("tail_rule", "continuous"):
-            return zoo(doc["rule_name"], truncation_depth=doc.get("truncation_depth"), **doc.get("params", {}))
-        raise ValueError(f"unknown distribution variant {variant!r}")
+            return zoo("finite", points=doc["atoms"], label=doc.get("label", "finite_pmf"))
+        if variant not in ("tail_rule", "continuous"):
+            raise ValueError(f"unknown distribution variant {variant!r}")
+        params = dict(doc.get("params", {}))
+        if variant == "tail_rule" and doc.get("truncation_depth") is not None:
+            params["truncation_depth"] = doc["truncation_depth"]
+        return zoo(doc["rule_name"], **params)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -405,8 +415,8 @@ def _discrete_no_opt_value(k: int) -> float:
 
 
 def _discrete_no_opt_survival(k: int) -> float:
-    # support {1, 2, 3, ...} with Pr[v >= m] = 2/(m+1)
-    return 2.0 / (k + 2)
+    # support {1, 2, 3, ...} with Pr[v >= m] = 2/(m+1); int / int cannot overflow for k past the float range
+    return 2 / (k + 2)
 
 
 def _uniform01_cdf(p):
@@ -439,75 +449,13 @@ def _regular_no_opt2_quantile(u):
     return 1.0 / w - 1.0
 
 
-_DEFAULT_DEPTH = {"erm_hard": 20, "discrete_no_opt": 10_000}
+def _tail_law(rule_name: str, value_fn, survival_fn, revenue_limit: float, truncation_depth: int) -> Distribution:
+    rule = TailRuleDist(rule_name, value_fn, survival_fn, truncation_depth, revenue_limit)
+    return Distribution(label=f"{rule_name}(trunc={truncation_depth})", variant=rule)
 
 
-def zoo(name: str, truncation_depth: int | None = None, **params) -> Distribution:
-    """Named distributions used throughout; see zoo_names() for the catalogue."""
-    if name == "erm_hard":
-        depth = truncation_depth or _DEFAULT_DEPTH[name]
-        return Distribution(
-            label=f"erm_hard(trunc={depth})",
-            variant=TailRuleDist(
-                rule_name="erm_hard",
-                value_fn=_erm_hard_value,
-                survival_fn=_erm_hard_survival,
-                truncation_depth=depth,
-                revenue_limit=0.5,  # rev(4^k) = 1/2 along the whole tail
-            ),
-        )
-    if name == "discrete_no_opt":
-        depth = truncation_depth or _DEFAULT_DEPTH[name]
-        return Distribution(
-            label=f"discrete_no_opt(trunc={depth})",
-            variant=TailRuleDist(
-                rule_name="discrete_no_opt",
-                value_fn=_discrete_no_opt_value,
-                survival_fn=_discrete_no_opt_survival,
-                truncation_depth=depth,
-                revenue_limit=2.0,  # rev(m) = 2m/(m+1) increases toward 2, never attained
-            ),
-        )
-    if name == "uniform01":
-        return Distribution(
-            label="uniform01",
-            variant=ContinuousDist(
-                rule_name="uniform01",
-                cdf_fn=_uniform01_cdf,
-                quantile_fn=_uniform01_quantile,
-                support_upper=1.0,
-            ),
-        )
-    if name == "regular_no_opt":
-        return Distribution(
-            label="regular_no_opt",
-            variant=ContinuousDist(
-                rule_name="regular_no_opt",
-                cdf_fn=_regular_no_opt_cdf,
-                quantile_fn=_regular_no_opt_quantile,
-                revenue_sup=1.0,
-            ),
-        )
-    if name == "regular_no_opt2":
-        return Distribution(
-            label="regular_no_opt2",
-            variant=ContinuousDist(
-                rule_name="regular_no_opt2",
-                cdf_fn=_regular_no_opt2_cdf,
-                quantile_fn=_regular_no_opt2_quantile,
-                revenue_sup=0.5,
-            ),
-        )
-    if name == "two_point":
-        return two_point(**params)
-    if name == "finite":
-        pts = params.get("points")
-        if not pts:
-            raise InfeasibleParametersError("finite requires points=[(value, mass), ...]")
-        vals = np.array([p[0] for p in pts], dtype=np.float64)
-        masses = np.array([p[1] for p in pts], dtype=np.float64)
-        return Distribution(label=params.get("label", "finite"), variant=FinitePMF(vals, masses))
-    raise ValueError(f"unknown zoo distribution {name!r}")
+def _continuous_law(rule_name: str, cdf_fn, quantile_fn, **bounds) -> Distribution:
+    return Distribution(label=rule_name, variant=ContinuousDist(rule_name, cdf_fn, quantile_fn, **bounds))
 
 
 def two_point(p: float, p_prime: float, c: float) -> Distribution:
@@ -529,8 +477,56 @@ def two_point(p: float, p_prime: float, c: float) -> Distribution:
     )
 
 
+def _finite(points, label: str = "finite") -> Distribution:
+    values = np.array([a[0] for a in points], dtype=np.float64)
+    masses = np.array([a[1] for a in points], dtype=np.float64)
+    return Distribution(label=label, variant=FinitePMF(values, masses))
+
+
+# The catalogue, in `revcurve zoo list` order.  A builder's signature is its
+# law's spec schema: the keys it takes and the default of each optional one.
+_ZOO: dict[str, Callable[..., Distribution]] = {
+    # rev(4^k) = 1/2 along the whole tail
+    "erm_hard": lambda truncation_depth=20: _tail_law(
+        "erm_hard", _erm_hard_value, _erm_hard_survival, 0.5, truncation_depth
+    ),
+    # rev(m) = 2m/(m+1) increases toward 2, never attained
+    "discrete_no_opt": lambda truncation_depth=10_000: _tail_law(
+        "discrete_no_opt", _discrete_no_opt_value, _discrete_no_opt_survival, 2.0, truncation_depth
+    ),
+    "regular_no_opt": lambda: _continuous_law(
+        "regular_no_opt", _regular_no_opt_cdf, _regular_no_opt_quantile, revenue_sup=1.0
+    ),
+    "regular_no_opt2": lambda: _continuous_law(
+        "regular_no_opt2", _regular_no_opt2_cdf, _regular_no_opt2_quantile, revenue_sup=0.5
+    ),
+    "two_point": two_point,
+    "finite": _finite,
+    "uniform01": lambda: _continuous_law("uniform01", _uniform01_cdf, _uniform01_quantile, support_upper=1.0),
+}
+
+
+def zoo(name: str, **params) -> Distribution:
+    """The named law built from its spec keys; zoo_names() lists the catalogue.
+
+    A law takes exactly the keywords of its builder in `_ZOO`.  An unknown
+    name, an unknown key or a missing one raises ValueError naming the law and
+    the key; a value the law cannot take raises InfeasibleParametersError.
+    """
+    builder = _ZOO.get(name)
+    if builder is None:
+        raise ValueError(f"unknown zoo distribution {name!r}")
+    schema = inspect.signature(builder)
+    try:
+        schema.bind(**params)
+    except TypeError as exc:
+        keys = ", ".join(schema.parameters) or "no keys"
+        raise ValueError(f"zoo law {name!r} takes {keys}: {exc}") from None
+    return builder(**params)
+
+
 def zoo_names() -> list[str]:
-    return ["erm_hard", "discrete_no_opt", "regular_no_opt", "regular_no_opt2", "two_point", "finite", "uniform01"]
+    return list(_ZOO)
 
 
 def parse_dist(spec: str) -> Distribution:

@@ -358,13 +358,12 @@ def parse_learner(spec: str) -> Learner:
 
     Forms: "erm", "truncated", "capped", "capped:g=sqrt", "structural",
     "structural:f=n^-0.25", "const:7", "cmd:python prog.py arg"; a cmd: line is
-    split as a POSIX shell would (shlex), so quoted arguments stay whole.
+    split as a POSIX shell would (shlex), so quoted arguments stay whole.  Any
+    other spec, an argument to erm or truncated included, raises ValueError.
     """
     name, _, arg = spec.partition(":")
-    if name == "erm":
-        return make_erm()
-    if name == "truncated":
-        return make_truncated()
+    if name in ("erm", "truncated") and not arg:
+        return make_erm() if name == "erm" else make_truncated()
     if name in ("capped", "structural"):
         key, kind, make = ("g", "growth", make_capped) if name == "capped" else ("f", "confidence", make_structural)
         growth = default_growth()

@@ -1,13 +1,16 @@
 import json
+import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from revcurve import curves
 from revcurve.cli import main
 from revcurve.curves import LearningCurve
+from revcurve.dist import parse_dist, zoo_names
 
 
 def run_cli(args, capsys):
@@ -390,3 +393,81 @@ class TestNonFiniteGrowthSpec:
         )
         assert code == 2
         assert "finite" in err
+
+
+def run_curve(learner, dist, tmp_path, capsys):
+    return run_cli(
+        ["curve", "--learner", learner, "--dist", dist, "--grid", "10,20", "--trials", "5",
+         "--workers", "1", "--seed", "1", "--out", str(tmp_path)],
+        capsys,
+    )
+
+
+# a spec that builds each law, for the laws that require keys
+BASE_SPECS = {"two_point": "two_point:p=1,p_prime=3,c=2", "finite": "finite:1@0.5,2@0.5"}
+
+
+def with_item(spec, item):
+    return f"{spec},{item}" if ":" in spec else f"{spec}:{item}"
+
+
+class TestBadSpecsFailLoudly:
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_unknown_key_exit_2(self, name, tmp_path, capsys):
+        code, _, err = run_curve("erm", with_item(BASE_SPECS.get(name, name), "bogus=1"), tmp_path, capsys)
+        assert code == 2 and "bogus" in err
+
+    @pytest.mark.parametrize("spec,key", [
+        ("two_point:p=1,p_prime=3", "'c'"),
+        ("two_point:p_prime=3,c=2", "'p'"),
+        ("two_point:pp=3,p=1", "'c'"),
+        ("finite", "'points'"),
+    ])
+    def test_missing_key_exit_2(self, spec, key, tmp_path, capsys):
+        code, _, err = run_curve("erm", spec, tmp_path, capsys)
+        assert code == 2 and "missing" in err and key in err
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_depth_below_zero(self, name, tmp_path, capsys):
+        code, _, err = run_curve("erm", with_item(BASE_SPECS.get(name, name), "truncation_depth=-1"), tmp_path, capsys)
+        # a tail rule refuses the value, any other law the key
+        assert code == (3 if name in ("erm_hard", "discrete_no_opt") else 2)
+        assert "truncation_depth" in err or name == "finite"
+        assert not (tmp_path / "curve.json").exists()
+
+    @pytest.mark.parametrize("spec", ["uniform01:foo=1", "uniform01:truncation_depth=5"])
+    def test_key_a_continuous_law_does_not_take_exit_2(self, spec, tmp_path, capsys):
+        code, _, err = run_curve("erm", spec, tmp_path, capsys)
+        assert code == 2 and "'uniform01' takes no keys" in err
+
+    def test_depth_zero_is_honoured(self, tmp_path, capsys):
+        assert run_curve("erm", "erm_hard:truncation_depth=0", tmp_path, capsys)[0] == 0
+        assert json.loads((tmp_path / "curve.json").read_text())["distribution"] == "erm_hard(trunc=0)"
+
+    @pytest.mark.parametrize("learner", ["erm:junk", "truncated:g=sqrt"])
+    def test_learner_argument_it_does_not_take_exit_2(self, learner, tmp_path, capsys):
+        code, _, err = run_curve(learner, "uniform01", tmp_path, capsys)
+        assert code == 2 and learner in err
+
+    def test_price_past_the_float_range_of_a_tail_rule(self, tmp_path, capsys):
+        code, _, _ = run_curve("const:1e300", "discrete_no_opt:truncation_depth=20", tmp_path, capsys)
+        assert code == 0
+        # revenue 2 - 2e-300 rounds to the limit 2, so the gap is 0
+        assert [p["mean_gap"] for p in json.loads((tmp_path / "curve.json").read_text())["points"]] == [0.0, 0.0]
+
+
+class TestReadme:
+    def test_dist_spec_lines_name_exactly_the_zoo(self):
+        """The README's `# dists:` lines list every zoo law once and nothing
+        else; each spec there (optional parts included) parses."""
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("# dists:"))
+        block = [lines[start].removeprefix("# dists:")]
+        for line in lines[start + 1 :]:
+            if not re.match(r"#\s+\|", line):
+                break
+            block.append(line.lstrip("# "))
+        specs = [s.strip() for s in " ".join(block).split("|") if s.strip() and not s.strip().endswith(".json")]
+        assert sorted(s.partition(":")[0].partition("[")[0] for s in specs) == sorted(zoo_names())
+        for spec in specs:
+            parse_dist(re.sub(r"[\[\]]", "", spec))

@@ -158,6 +158,68 @@ class TestArrayQueries:
             zoo("uniform01").revenue(np.array([0.5, math.inf, math.nan]))
 
 
+def first_index_reaching(rule: TailRuleDist, p: float, strict: bool = False) -> int:
+    """Smallest k with value_fn(k) >= p (> p when strict), a value_fn that
+    overflows counting as +inf: one bisection over every k up to 2^1100."""
+
+    def reaches(k):
+        try:
+            v = rule.value_fn(k)
+        except OverflowError:
+            return True
+        return v > p if strict else v >= p
+
+    lo, hi = -1, 2**1100  # value_fn(2^1100) overflows every rule shipped here
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
+TAIL_SPECS = ("erm_hard", "discrete_no_opt:truncation_depth=20")
+HUGE_PRICES = (1e18, 1e300, 1e308, 1.7976931348623157e308)
+
+
+class TestTailRuleAnswersEveryPrice:
+    """A tail rule answers every nonnegative price on the rule, however far
+    past its table, and a price of +inf has survival 0 as on every other law."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("price", HUGE_PRICES)
+    @pytest.mark.parametrize("spec", TAIL_SPECS)
+    def test_huge_price_is_the_rule_at_the_first_index_reaching_it(self, spec, price, strict):
+        d = parse_dist(spec)
+        rule = d.variant
+        k = first_index_reaching(rule, price, strict)
+        assert k > rule.truncation_depth + 1  # past the table
+        query = d.survival_strict if strict else d.survival
+        assert query(price) == rule.survival_fn(k)
+        assert query(np.array([1.0, price])).tolist() == [query(1.0), rule.survival_fn(k)]
+
+    @pytest.mark.parametrize("query", ["survival", "survival_strict", "cdf", "cdf_right"])
+    @pytest.mark.parametrize("spec", TAIL_SPECS)
+    def test_infinite_price_answers_as_on_every_law(self, spec, query):
+        for other in ("uniform01", "finite:1@0.5,2@0.5", spec):
+            assert getattr(parse_dist(other), query)(math.inf) == (0.0 if "survival" in query else 1.0), other
+
+    def test_revenue_of_a_huge_price_sits_at_the_no_opt_limit(self):
+        d = parse_dist("discrete_no_opt:truncation_depth=20")
+        # 2m/(m+1) at m = 1e300 is 2 - 2e-300, which float64 rounds to 2.0
+        assert d.revenue(1e300) == pytest.approx(2.0, rel=1e-15)
+        assert d.revenue(1e300) <= d.optimal_revenue().value == 2.0
+        assert zoo("erm_hard").revenue(1e300) == pytest.approx(1e300 * 0.5 * 4.0 ** -499, rel=1e-15)
+        with pytest.raises(ValueError, match="got inf"):
+            d.revenue(math.inf)
+
+    def test_bounded_rule_answers_zero_past_its_supremum(self):
+        # value_fn never reaches 2 and never overflows; the search stops
+        # where survival_fn reaches 0.0
+        rule = TailRuleDist("bounded", lambda k: 1.0 - 0.5**k, lambda k: 0.5**k, truncation_depth=3)
+        d = Distribution(label="bounded", variant=rule)
+        assert d.survival(2.0) == d.survival_strict(1.0) == 0.0
+        assert d.survival(0.99) == 0.5 ** first_index_reaching(rule, 0.99)
+
+
 class TestOptimalRevenue:
     def test_erm_hard_opt_attained_at_one(self):
         assert zoo("erm_hard").optimal_revenue() == (1.0, 1.0)
@@ -330,7 +392,8 @@ class TestZoo:
             zoo("nope")
 
     def test_zoo_names_catalogue(self):
-        assert set(zoo_names()) == {
+        # in `revcurve zoo list` order
+        assert zoo_names() == [
             "erm_hard",
             "discrete_no_opt",
             "regular_no_opt",
@@ -338,7 +401,7 @@ class TestZoo:
             "two_point",
             "finite",
             "uniform01",
-        }
+        ]
 
     def test_erm_hard_pmf_masses(self):
         # atom masses: Pr[v=1] = 7/8, Pr[v=4^k] = 3/(2*4^(k+1))
@@ -363,6 +426,75 @@ class TestZoo:
             for p in np.linspace(hi * 0.01, hi * 0.99, 25):
                 u = float(np.asarray(d.cdf_fn(p)))
                 assert float(np.asarray(d.quantile_fn(u))) == pytest.approx(p, abs=1e-9), name
+
+
+# keys that build each law, for the laws that require some
+VALID_KEYS = {"two_point": {"p": 1.0, "p_prime": 3.0, "c": 2.0}, "finite": {"points": [(1.0, 0.5), (2.0, 0.5)]}}
+TAIL_RULES = ("erm_hard", "discrete_no_opt")
+
+
+class TestZooSchema:
+    """A law takes exactly its builder's keys; any other spec fails loudly."""
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_valid_keys_build(self, name):
+        assert isinstance(zoo(name, **VALID_KEYS.get(name, {})), Distribution)
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_unknown_key_names_the_law_and_the_key(self, name):
+        with pytest.raises(ValueError, match=f"'{name}'.*'bogus'") as exc:
+            zoo(name, **VALID_KEYS.get(name, {}), bogus=1.0)
+        assert not isinstance(exc.value, InfeasibleParametersError)
+
+    @pytest.mark.parametrize("name,key", [(n, k) for n, keys in VALID_KEYS.items() for k in keys])
+    def test_missing_key_names_the_law_and_the_key(self, name, key):
+        keys = {k: v for k, v in VALID_KEYS[name].items() if k != key}
+        with pytest.raises(ValueError, match=f"'{name}'.*missing.*'{key}'") as exc:
+            zoo(name, **keys)
+        assert not isinstance(exc.value, InfeasibleParametersError)
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_depth_below_zero_raises(self, name):
+        with pytest.raises(ValueError, match="truncation_depth") as exc:
+            zoo(name, **VALID_KEYS.get(name, {}), truncation_depth=-1)
+        # a tail rule takes the key and refuses the value; any other law refuses the key
+        assert isinstance(exc.value, InfeasibleParametersError) == (name in TAIL_RULES)
+
+    def test_hand_built_rule_checks_its_depth(self):
+        with pytest.raises(InfeasibleParametersError, match="heavy: truncation_depth -3"):
+            TailRuleDist("heavy", lambda k: float(k + 1), lambda k: 1.0 / (k + 1), truncation_depth=-3)
+
+    @pytest.mark.parametrize("name", TAIL_RULES)
+    def test_depth_zero_is_a_two_atom_table(self, name):
+        d = parse_dist(f"{name}:truncation_depth=0")
+        rule = d.variant
+        assert d.label == f"{name}(trunc=0)" and rule.truncation_depth == 0
+        assert d.atom_table.values.tolist() == [rule.value_fn(0), rule.value_fn(1)]
+        assert d.atom_table.masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_defaults(self):
+        assert zoo("erm_hard").variant.truncation_depth == 20
+        assert zoo("discrete_no_opt").variant.truncation_depth == 10_000
+
+    def test_type_error_inside_a_builder_is_not_a_spec_error(self):
+        with pytest.raises(TypeError):
+            zoo("finite", points=[1.0, 2.0])  # atoms are not (value, mass) pairs
+
+
+ROUNDTRIP_LAWS = [(n, VALID_KEYS.get(n, {})) for n in zoo_names()] + [
+    (n, {"truncation_depth": depth}) for n in TAIL_RULES for depth in (0, 7)
+]
+ROUNDTRIP_GRID = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 16.0, 1e3, 4.0**9, 1e6, 1e18, 1e300, math.inf])
+
+
+@pytest.mark.parametrize("name,keys", ROUNDTRIP_LAWS, ids=[f"{n}-{sorted(k)}" for n, k in ROUNDTRIP_LAWS])
+def test_every_zoo_law_roundtrips_through_json(name, keys):
+    d = zoo(name, **keys)
+    back = Distribution.from_json(d.to_json())
+    assert back.label == d.label
+    assert back.to_json() == d.to_json()
+    for query in ("survival", "survival_strict"):
+        assert getattr(back, query)(ROUNDTRIP_GRID).tobytes() == getattr(d, query)(ROUNDTRIP_GRID).tobytes()
 
 
 class TestSerialization:

@@ -340,6 +340,11 @@ class TestParseLearner:
         with pytest.raises(ValueError):
             parse_learner("oracle")
 
+    @pytest.mark.parametrize("spec", ["erm:junk", "truncated:g=sqrt", "erm:g=sqrt"])
+    def test_argument_the_learner_does_not_take(self, spec):
+        with pytest.raises(ValueError, match=f"unknown learner spec '{spec}'"):
+            parse_learner(spec)
+
     def test_capped_custom_power(self):
         lr = parse_learner("capped:g=n^0.5")
         assert lr.config.g(100) == pytest.approx(10.0)
