@@ -23,6 +23,7 @@ checked before any process starts.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import pickle
@@ -131,6 +132,22 @@ class RateFit:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+# glibc gives a block at or above its mmap threshold its own mapping, unmapped
+# when freed, and trims free memory past its trim threshold off the heap top.
+# Both start at 128 KiB and grow only to the largest single block freed (0.8 MB
+# for a sample of 1e5), so every large continuous trial faulted its arrays back
+# in.  Pin them once per process (pool workers import this module too) at the
+# ceilings glibc's dynamic thresholds reach anyway.  -3 and -1 are glibc's
+# M_MMAP_THRESHOLD and M_TRIM_THRESHOLD; where there is no mallopt nothing is set.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    pass
+else:
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt(-3, 32 << 20)
+    _mallopt(-1, 64 << 20)
+
 _BLOCK_ROWS = 128  # count vectors priced per decide_counts call ...
 _BLOCK_CELLS = 1 << 14  # ... and at most this many counts in one block
 
@@ -150,7 +167,8 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
             prices[lo : lo + len(counts)] = block
         return prices
     for i, (t, rng) in enumerate(zip(trial_range, streams)):
-        # s lives until the next sample is drawn: freeing a large sample first
+        # s lives until the next sample is drawn; this matters only where the heap
+        # thresholds above could not be set, as freeing a large sample first
         # lets malloc trim the heap and fault its pages back in (~1 ms at n=1e5)
         s = dist.sample(rng, n)
         # a count-form rule is deterministic and reads no stream (see Learner)

@@ -134,9 +134,10 @@ class TailRuleDist:
     value_fn(k) is strictly increasing, survival_fn(k) = Pr[v >= value_fn(k)]
     with survival_fn(0) = 1.  Every query (survival, revenue, optimum) answers
     on the rule itself at every price, +inf included.  Draws come from the
-    table of the first depth + 2 atoms (depth >= 0), with the tail past
-    value_fn(depth + 1) lumped onto that last atom and the masses
-    renormalised; the two laws agree on [0, value_fn(depth + 1)].
+    table of the first depth + 2 atoms (depth >= 0, value_fn(depth + 1) a
+    finite float), with the tail past value_fn(depth + 1) lumped onto that
+    last atom and the masses renormalised; the two laws agree on
+    [0, value_fn(depth + 1)].
     `revenue_limit` is the limiting tail revenue when the rule admits one
     (math.inf is allowed); the supremum over the whole rule is assumed to be
     max(best atom in the table, revenue_limit), which holds for every rule
@@ -151,8 +152,17 @@ class TailRuleDist:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.truncation_depth < 0:
-            raise InfeasibleParametersError(f"{self.rule_name}: truncation_depth {self.truncation_depth!r} is below 0")
+        depth = self.truncation_depth
+        if depth < 0:
+            raise InfeasibleParametersError(f"{self.rule_name}: truncation_depth {depth!r} is below 0")
+        try:  # value_fn increases, so value_fn(depth + 1) is the table's largest atom
+            finite = math.isfinite(self.value_fn(depth + 1))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InfeasibleParametersError(
+                f"{self.rule_name}: truncation_depth {depth!r} tables value_fn({depth + 1}) past the float range"
+            )
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -410,8 +420,9 @@ def _erm_hard_survival(k: int) -> float:
     return 1.0 if k == 0 else 0.5 * 4.0 ** (-k)
 
 
-def _discrete_no_opt_value(k: int) -> float:
-    return float(k + 1)
+def _discrete_no_opt_value(k: int) -> int:
+    # the exact int: a float rounds past 2^53 and could fall short of the price it is compared with
+    return k + 1
 
 
 def _discrete_no_opt_survival(k: int) -> float:
@@ -551,5 +562,7 @@ def parse_dist(spec: str) -> Distribution:
         for item in arg_str.split(","):
             k, _, v = item.partition("=")
             k = {"pp": "p_prime"}.get(k.strip(), k.strip())
+            if k in kwargs:
+                raise ValueError(f"zoo law {name!r}: key {k!r} given twice")
             kwargs[k] = int(v) if k == "truncation_depth" else float(v)
     return zoo(name, **kwargs)

@@ -440,6 +440,17 @@ class TestBadSpecsFailLoudly:
         code, _, err = run_curve("erm", spec, tmp_path, capsys)
         assert code == 2 and "'uniform01' takes no keys" in err
 
+    @pytest.mark.parametrize("spec", ["erm_hard:truncation_depth=5,truncation_depth=9", "two_point:p=1,p=2,p_prime=3,c=2"])
+    def test_repeated_key_exit_2(self, spec, tmp_path, capsys):
+        code, _, err = run_curve("erm", spec, tmp_path, capsys)
+        assert code == 2 and "given twice" in err
+        assert not (tmp_path / "curve.json").exists()
+
+    def test_depth_past_the_float_range_exit_3(self, tmp_path, capsys):
+        code, _, err = run_curve("erm", "erm_hard:truncation_depth=600", tmp_path, capsys)
+        assert code == 3 and "truncation_depth 600" in err
+        assert not (tmp_path / "curve.json").exists()
+
     def test_depth_zero_is_honoured(self, tmp_path, capsys):
         assert run_curve("erm", "erm_hard:truncation_depth=0", tmp_path, capsys)[0] == 0
         assert json.loads((tmp_path / "curve.json").read_text())["distribution"] == "erm_hard(trunc=0)"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revcurve.curves import estimate_gap
 from revcurve.dist import (
     ContinuousDist,
     Distribution,
@@ -20,6 +21,7 @@ from revcurve.dist import (
     zoo,
     zoo_names,
 )
+from revcurve.learners import parse_learner
 
 
 def brute_force_opt(pmf: FinitePMF):
@@ -210,6 +212,16 @@ class TestTailRuleAnswersEveryPrice:
         assert zoo("erm_hard").revenue(1e300) == pytest.approx(1e300 * 0.5 * 4.0 ** -499, rel=1e-15)
         with pytest.raises(ValueError, match="got inf"):
             d.revenue(math.inf)
+
+    def test_no_opt_revenue_never_passes_its_supremum(self):
+        # the rule compares the exact int k + 1 with the price: a float k + 1
+        # rounds past 2^53 and can stop short of a huge price, overpaying it
+        d = parse_dist("discrete_no_opt:truncation_depth=20")
+        prices = np.concatenate([[2.0**53, 2.0**53 + 2, 1e308, 1.7976931348623157e308], np.geomspace(1e15, 1e308, 300)])
+        assert d.revenue(prices).max() <= 2.0
+        assert max(d.revenue(float(p)) for p in prices) <= 2.0
+        assert estimate_gap(parse_learner("const:1e308"), d, 10, 3, 1).mean_gap >= 0.0
+        assert d.atom_table.values.dtype == np.float64 and d.atom_table.values.tolist() == [float(k + 1) for k in range(22)]
 
     def test_bounded_rule_answers_zero_past_its_supremum(self):
         # value_fn never reaches 2 and never overflows; the search stops
@@ -464,6 +476,14 @@ class TestZooSchema:
         with pytest.raises(InfeasibleParametersError, match="heavy: truncation_depth -3"):
             TailRuleDist("heavy", lambda k: float(k + 1), lambda k: 1.0 / (k + 1), truncation_depth=-3)
 
+    def test_depth_past_the_float_range_is_infeasible(self):
+        # 4^512 overflows, so depth 511 would table a value past every float
+        for depth in (511, 600):
+            with pytest.raises(InfeasibleParametersError, match=f"erm_hard: truncation_depth {depth} "):
+                parse_dist(f"erm_hard:truncation_depth={depth}")
+        deepest = parse_dist("erm_hard:truncation_depth=510")
+        assert deepest.atom_table.values[-1] == 4.0**511 and deepest.optimal_revenue() == (1.0, 1.0)
+
     @pytest.mark.parametrize("name", TAIL_RULES)
     def test_depth_zero_is_a_two_atom_table(self, name):
         d = parse_dist(f"{name}:truncation_depth=0")
@@ -549,6 +569,16 @@ class TestParseDist:
     def test_finite_spec(self):
         d = parse_dist("finite:1@0.2,10@0.79,1000@0.01")
         assert np.array_equal(d.variant.values, [1.0, 10.0, 1000.0])
+
+    @pytest.mark.parametrize("spec,name,key", [
+        ("erm_hard:truncation_depth=5,truncation_depth=9", "erm_hard", "truncation_depth"),
+        ("two_point:p=1,p=2,p_prime=3,c=2", "two_point", "p"),
+        ("two_point:p=1,pp=3,p_prime=3,c=2", "two_point", "p_prime"),
+    ])
+    def test_repeated_key_names_the_law_and_the_key(self, spec, name, key):
+        with pytest.raises(ValueError, match=f"'{name}'.*'{key}' given twice") as exc:
+            parse_dist(spec)
+        assert not isinstance(exc.value, InfeasibleParametersError)
 
     def test_json_path(self, tmp_path):
         path = tmp_path / "d.json"

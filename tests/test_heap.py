@@ -1,0 +1,44 @@
+"""Importing revcurve pins glibc's heap thresholds, so the arrays a large
+continuous trial frees stay mapped and the next trial reuses them instead of
+faulting fresh pages in.
+
+The count runs in a fresh interpreter: a long test session may already have
+raised glibc's dynamic thresholds by freeing some larger block, which would
+hide a process that never set them.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+FAULTS_PER_DECIDE = """
+import resource, sys
+import numpy as np
+from revcurve import parse_dist, parse_learner
+rule = parse_learner(sys.argv[1])
+values = parse_dist("uniform01").sample(np.random.default_rng(7), 100_000).values
+for _ in range(3):
+    rule.decide(values, values.size, None)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    rule.decide(values, values.size, None)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap thresholds are set on glibc only")
+@pytest.mark.parametrize("learner", ["erm", "structural"])
+def test_decide_on_a_large_sample_does_not_fault_its_arrays_back_in(learner):
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_DECIDE, learner],
+                         capture_output=True, text=True, check=True, timeout=120)
+    faults = float(out.stdout)
+    assert faults < 5, f"{learner}: {faults} minor page faults per decide at n = 1e5"
