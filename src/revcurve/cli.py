@@ -44,7 +44,9 @@ def _base_seed(args) -> int:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        if args.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {args.workers}")
+        return args.workers
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
@@ -148,9 +150,10 @@ def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
     dist = parse_dist(args.dist)
     grid = _parse_grid(args.grid)
     seed = _base_seed(args)
+    workers = _workers(args)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    curve = curves.learning_curve(learner, dist, grid, args.trials, seed, workers=_workers(args))
+    curve = curves.learning_curve(learner, dist, grid, args.trials, seed, workers=workers)
     curve.to_csv(out / "curve.csv")
     (out / "curve.json").write_text(curve.to_json() + "\n")
     (out / "curve.svg").write_text(_svg_log_log([(p.n, p.mean_gap) for p in curve.points], f"{curve.learner_name} on {curve.dist_label}"))

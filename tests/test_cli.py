@@ -351,6 +351,25 @@ class TestDeclaredFlags:
         assert code == 2 and "must be >= 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", "uniform01", "--grid", "10,20", "--trials", "5",
+             "--workers", workers, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and "workers must be >= 1" in err
+        assert not out.exists()
+
+    def test_config_workers_below_one_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learner": "erm", "dist": "uniform01", "grid": "10,20", "trials": 5, "workers": 0}))
+        out = tmp_path / "out"
+        code, _, err = run_cli(["curve", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2 and "workers must be >= 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -381,6 +400,17 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "revcurve", "zoo", "list"], capture_output=True, text=True
         )
         assert proc.returncode == 0 and "erm_hard" in proc.stdout
+
+    def test_pooled_curve_prints_one_summary_line(self, tmp_path):
+        # stdout is a pipe, so it is block-buffered: pool workers must not replay it
+        proc = subprocess.run(
+            [sys.executable, "-m", "revcurve", "curve", "--learner", "erm", "--dist", "two_point:p=1,p_prime=3,c=2",
+             "--grid", "10,20,40", "--trials", "40", "--seed", "3", "--workers", "2", "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["curve"] == str(tmp_path / "curve.csv")
 
 
 class TestNonFiniteGrowthSpec:

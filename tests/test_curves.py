@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
 import os
+import shlex
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -37,7 +39,8 @@ from revcurve.learners import (
 )
 
 
-# Module level, so spawn workers can unpickle them by reference.
+# Module level, so workers can unpickle them by reference (a spawned worker
+# imports this module; a forked one unpickles the same payload).
 def _g_three(n):
     return 3.0
 
@@ -56,6 +59,26 @@ def _exit_decide(values, n, rng):
 
 def exp_mean_10(cdf=_exp10_cdf, quantile=_exp10_quantile):
     return Distribution("exp(mean 10)", ContinuousDist("exponential_mean_10", cdf, quantile))
+
+
+def record_pools(monkeypatch) -> list:
+    """Wrap ProcessPoolExecutor so each pool records its worker count, start
+    context and the processes it started; the real class does the work."""
+    pools = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recorder(real):
+        def __init__(self, max_workers=None, mp_context=None, *args, **kwargs):
+            super().__init__(max_workers, mp_context, *args, **kwargs)
+            self.max_workers, self.mp_context, self.started = max_workers, mp_context, 0
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.started = len(self._processes or ())
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return pools
 
 
 def delta_grid_oracle(dist, eps, step=1e-5):
@@ -159,6 +182,29 @@ class TestEstimateGap:
         thread.join(timeout=60)
         assert not thread.is_alive(), "a dead worker left the pool hanging"
         assert len(outcome) == 1 and isinstance(outcome[0], BrokenProcessPool)
+
+    def test_no_more_workers_than_jobs(self, monkeypatch):
+        # 3 trials on one point are 3 jobs, so 8 workers must start only 3
+        pools = record_pools(monkeypatch)
+        d = zoo("uniform01")
+        par = estimate_gap(make_erm(), d, n=20, trials=3, base_seed=4, workers=8)
+        assert len(pools) == 1 and pools[0].max_workers <= 3 and pools[0].started <= 3
+        assert par == estimate_gap(make_erm(), d, n=20, trials=3, base_seed=4, workers=1)
+
+    def test_pool_forks_on_linux(self, monkeypatch):
+        pools = record_pools(monkeypatch)
+        estimate_gap(make_erm(), two_point(1.0, 3.0, 2.0), n=20, trials=8, base_seed=1, workers=2)
+        expected = "fork" if sys.platform.startswith("linux") else "spawn"
+        assert len(pools) == 1 and pools[0].mp_context.get_start_method() == expected
+
+    def test_subprocess_learner_inside_workers(self):
+        # each trial starts a process from inside a pool worker
+        median = "import sys; v = sorted(map(float, sys.stdin.read().split()[1:])); print(v[len(v) // 2])"
+        lr = parse_learner(f"cmd:{shlex.quote(sys.executable)} -c {shlex.quote(median)}")
+        d = zoo("uniform01")
+        seq = estimate_gap(lr, d, n=9, trials=6, base_seed=21, workers=1)
+        par = estimate_gap(lr, d, n=9, trials=6, base_seed=21, workers=2)
+        assert seq == par and seq.mean_gap > 0.0
 
     def test_two_point_erm_small_gap_at_200(self):
         pt = estimate_gap(make_erm(), two_point(1.0, 3.0, 2.0), n=200, trials=2000, base_seed=11)
