@@ -127,7 +127,7 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class ProbeConfig:
     trials_per_dataset: int = 10_000
-    max_datasets_per_level: int = 4_000  # full enumeration up to depth 6 (5^5 = 3125)
+    max_datasets_per_level: int = 4_000  # enumerates to depth 8 by multisets (C(13, 7) = 1716), 6 ordered (5^5)
     allow_sampling: bool = False  # sample a subset beyond the budget, flagged in the transcript
 
     def __post_init__(self):
@@ -184,9 +184,9 @@ def build_slow_rate_distribution(
 ) -> tuple[Distribution, SlowRateConstruction]:
     """Adversarial finite PMF forcing the learner's gap above R(j)/4 at n = j.
 
-    Level by level: bound the learner's output c_{j-1} over every ordered
-    dataset it can see (all (j-1)^(j-1) tuples over the support so far, each at
-    confidence R(j-1)/4), then pick the smallest integer support point
+    Level by level: bound the learner's output c_{j-1} over every dataset of
+    size j-1 it can see over the support so far, then pick the smallest integer
+    support point
 
         i_j = max(ceil(i_{j-1}) + 1, ceil(c_{j-1}) + 1, ceil((2 - R(j-1)) / P_max))
 
@@ -194,6 +194,13 @@ def build_slow_rate_distribution(
     so that i_j * P_j = 2 - R(j-1) exactly.  The depth-J truncation keeps atom
     masses P_j - P_{j+1} and lumps P_J onto the last point, so the per-level
     revenue identity survives truncation at every level.
+
+    A learner with decide_counts is symmetric and deterministic, so it is
+    probed once per multiset: the C(2j-3, j-1) count vectors, priced in one
+    decide_counts call.  Any other learner is probed on all (j-1)^(j-1)
+    ordered tuples, each bounded at confidence R(j-1)/4.  The budget applies
+    to the mode's own count; past it, allow_sampling draws that many tuples
+    with rng.choice.  probe_stats records the mode of every level.
     """
     if depth < 2:
         raise ValueError("construction depth must be >= 2")
@@ -203,11 +210,13 @@ def build_slow_rate_distribution(
     tails = [1.0]
     bounds: list[float] = []
     probe_stats: dict = {"levels": []}
+    counted = learner.decide_counts is not None  # probed by multisets (see above)
     for j in range(2, depth + 1):
         r_prev = rate.R[j - 2]
         support = points[: j - 1]
-        total = (j - 1) ** (j - 1)
-        if total > probe.max_datasets_per_level:
+        total = math.comb(2 * j - 3, j - 1) if counted else (j - 1) ** (j - 1)
+        sampled = total > probe.max_datasets_per_level
+        if sampled:
             if not probe.allow_sampling:
                 raise BudgetExceededError(j, total, probe.max_datasets_per_level)
             if rng is None:
@@ -215,19 +224,31 @@ def build_slow_rate_distribution(
             datasets = [
                 tuple(rng.choice(support, size=j - 1)) for _ in range(probe.max_datasets_per_level)
             ]
-            probed, sampled = len(datasets), True
+        elif counted:
+            datasets = list(itertools.combinations_with_replacement(support, j - 1))
         else:
             datasets = list(itertools.product(support, repeat=j - 1))
-            probed, sampled = total, False
-        c = 0.0
-        for ds in datasets:
-            res = bound_learner_output(
-                learner, np.array(ds), confidence_mass=r_prev / 4.0, trials=probe.trials_per_dataset, rng=rng
-            )
-            c = max(c, res.value)
+        if counted:
+            # row r counts the copies of each support point in datasets[r]
+            idx = np.searchsorted(support, datasets)
+            counts = (idx[..., None] == np.arange(j - 1)).sum(axis=-2)
+            c = max(0.0, float(np.max(learner.price_counts(np.array(support), counts, j - 1))))
+        else:
+            c = 0.0
+            for ds in datasets:
+                res = bound_learner_output(
+                    learner, np.array(ds), confidence_mass=r_prev / 4.0, trials=probe.trials_per_dataset, rng=rng
+                )
+                c = max(c, res.value)
         bounds.append(c)
         probe_stats["levels"].append(
-            {"level": j, "datasets_probed": probed, "datasets_total": total, "sampled": sampled}
+            {
+                "level": j,
+                "mode": "multiset" if counted else "ordered",
+                "datasets_probed": len(datasets),
+                "datasets_total": total,
+                "sampled": sampled,
+            }
         )
         p_max = min(tails[-1] / 2.0, r_prev / (2.0 * (j - 1)))
         # tolerance-aware ceil: the ratio lands on exact integers (e.g. 30 at

@@ -83,15 +83,6 @@ class LearningCurve:
     points: tuple[CurvePoint, ...]
     base_seed: int
 
-    def ns(self) -> np.ndarray:
-        return np.array([p.n for p in self.points], dtype=np.int64)
-
-    def gaps(self) -> np.ndarray:
-        return np.array([p.mean_gap for p in self.points])
-
-    def errs(self) -> np.ndarray:
-        return np.array([p.std_err for p in self.points])
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("n,trials,mean_gap,std_err,seed\n")
@@ -164,10 +155,7 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
         rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // table.values.size))
         for lo in range(0, len(trial_range), rows):
             counts = np.array([table.draw_counts(rng, n) for rng in islice(streams, rows)])
-            block = np.asarray(learner.decide_counts(table.values, counts, n))
-            if block.shape != (len(counts),):
-                raise ValueError(f"decide_counts returned shape {block.shape} for {len(counts)} rows; it prices each row")
-            prices[lo : lo + len(counts)] = block
+            prices[lo : lo + len(counts)] = learner.price_counts(table.values, counts, n)
         return prices
     for i, (t, rng) in enumerate(zip(trial_range, streams)):
         # s lives until the next sample is drawn; this matters only where the heap

@@ -115,6 +115,13 @@ class Learner:
     config: Optional[GrowthFns] = None
     decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], float]] = None
 
+    def price_counts(self, values: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+        """decide_counts on a block of count rows (shape (rows, K)), one price per row."""
+        prices = np.asarray(self.decide_counts(values, counts, n))
+        if prices.shape != counts.shape[:-1]:
+            raise ValueError(f"decide_counts returned shape {prices.shape} for {len(counts)} rows; it prices each row")
+        return prices
+
 
 @functools.lru_cache(maxsize=1)
 def _left(m: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,11 +20,53 @@ from revcurve.adversary import (
     verify_gadget,
 )
 from revcurve.dist import InfeasibleParametersError
-from revcurve.learners import Learner, make_constant, make_erm
+from revcurve.learners import (
+    Learner,
+    make_capped,
+    make_constant,
+    make_erm,
+    make_structural,
+    make_truncated,
+)
 
 
 def philox(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def erm_ordered():
+    """ERM without its count form: the adversary must probe it tuple by tuple."""
+    return Learner("erm-ordered", decide=make_erm().decide)
+
+
+def ordered_bounds(learner, con, draws=None):
+    """Reference c_{j-1}: the max of decide over every ordered dataset on the
+    construction's own support, or over draws[j] where given."""
+    out = []
+    for j in range(2, con.depth + 1):
+        support = con.points[: j - 1]
+        datasets = draws[j] if draws and j in draws else itertools.product(support, repeat=j - 1)
+        out.append(max(0.0, *(float(learner.decide(np.array(ds), j - 1, None)) for ds in datasets)))
+    return tuple(out)
+
+
+def split_learner():
+    """A symmetric rule whose maximum lies on an even split, not on the all-top
+    dataset where the ERM family peaks: copies of the sample minimum times
+    copies of the maximum, 0 on a one-value sample."""
+
+    def decide(values, n, rng):
+        v = np.asarray(values)
+        return float((v == v.min()).sum() * (v == v.max()).sum()) if v.max() > v.min() else 0.0
+
+    def decide_counts(values, counts, n):
+        drawn = counts > 0
+        rows = np.arange(len(counts))
+        first = counts[rows, drawn.argmax(axis=-1)]
+        last = counts[rows, counts.shape[-1] - 1 - drawn[:, ::-1].argmax(axis=-1)]
+        return np.where(drawn.sum(axis=-1) > 1, first * last, 0).astype(np.float64)
+
+    return Learner("split", decide=decide, decide_counts=decide_counts)
 
 
 def exact_coin_error(p, gamma, c):
@@ -126,9 +169,16 @@ class TestSlowRateConstruction:
     def test_budget_error_names_level(self):
         with pytest.raises(BudgetExceededError) as err:
             build_slow_rate_distribution(
-                make_erm(), lambda j: 1.0 / j, depth=7, probe=ProbeConfig(max_datasets_per_level=100)
+                erm_ordered(), lambda j: 1.0 / j, depth=7, probe=ProbeConfig(max_datasets_per_level=100)
             )
         assert err.value.level == 5  # 4^4 = 256 datasets first exceeds 100
+
+    def test_budget_error_names_level_multisets(self):
+        with pytest.raises(BudgetExceededError) as err:
+            build_slow_rate_distribution(
+                make_erm(), lambda j: 1.0 / j, depth=7, probe=ProbeConfig(max_datasets_per_level=100)
+            )
+        assert err.value.level == 6  # C(9, 5) = 126 multisets first exceeds 100
 
     def test_sampled_probing_flagged(self):
         dist, con = build_slow_rate_distribution(
@@ -144,6 +194,81 @@ class TestSlowRateConstruction:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth=1)
+
+
+class TestMultisetProbing:
+    """A learner with decide_counts is probed once per multiset, in one
+    decide_counts call per level; its bounds must equal the max of decide over
+    every ordered dataset."""
+
+    LEARNERS = {
+        "erm": make_erm,
+        "truncated": make_truncated,
+        "capped": make_capped,
+        "structural": make_structural,
+        "const:1": lambda: make_constant(1.0),
+    }
+    PHIS = {"inv": lambda j: 1.0 / j, "pow:0.5": lambda j: j**-0.5}
+
+    @pytest.mark.parametrize("phi", PHIS)
+    @pytest.mark.parametrize("name", LEARNERS)
+    def test_bounds_equal_ordered_brute_force(self, name, phi):
+        learner = self.LEARNERS[name]()
+        _, con = build_slow_rate_distribution(learner, self.PHIS[phi], depth=6)
+        assert con.bounds == ordered_bounds(learner, con)
+        for level in con.probe_stats["levels"]:
+            j = level["level"]
+            assert level["mode"] == "multiset"
+            assert level["datasets_probed"] == level["datasets_total"] == math.comb(2 * j - 3, j - 1)
+        # a shallower construction is a prefix of the deeper one
+        for depth in range(2, 6):
+            _, short = build_slow_rate_distribution(learner, self.PHIS[phi], depth=depth)
+            assert short.points == con.points[:depth] and short.bounds == con.bounds[: depth - 1]
+
+    def test_bounds_equal_ordered_brute_force_at_an_interior_multiset(self):
+        learner = split_learner()
+        _, con = build_slow_rate_distribution(learner, lambda j: 1.0 / j, depth=6)
+        assert con.bounds == ordered_bounds(learner, con) == (0.0, 1.0, 2.0, 4.0, 6.0)
+
+    def test_decide_only_learner_probes_ordered(self):
+        _, con = build_slow_rate_distribution(erm_ordered(), lambda j: 1.0 / j, depth=6)
+        _, ref = build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth=6)
+        for level in con.probe_stats["levels"]:
+            j = level["level"]
+            assert level["mode"] == "ordered"
+            assert level["datasets_probed"] == level["datasets_total"] == (j - 1) ** (j - 1)
+        assert (con.points, con.tails, con.bounds) == (ref.points, ref.tails, ref.bounds)
+
+    @pytest.mark.parametrize("make", [make_erm, split_learner], ids=["erm", "split"])
+    def test_sampled_multisets_match_ordered_reference(self, make):
+        budget = 3
+        _, con = build_slow_rate_distribution(
+            make(),
+            lambda j: j**-0.5,
+            depth=6,
+            probe=ProbeConfig(max_datasets_per_level=budget, allow_sampling=True),
+            rng=philox(8),
+        )
+        sampled = [level["level"] for level in con.probe_stats["levels"] if level["sampled"]]
+        assert sampled == [4, 5, 6]  # C(5, 3) = 10 multisets is the first count above 3
+        rng = philox(8)
+        draws = {
+            j: [tuple(rng.choice(con.points[: j - 1], size=j - 1)) for _ in range(budget)] for j in sampled
+        }
+        assert con.bounds == ordered_bounds(make(), con, draws)
+
+
+class TestConsistentTargets:
+    """Beside criterion 6 (plain ERM): the consistent learners' own depth-6
+    constructions hold their Monte Carlo gap at n = j above R(j)/4 at every level."""
+
+    @pytest.mark.parametrize("make", [make_capped, make_structural], ids=["capped", "structural"])
+    def test_every_level_clears_quarter_r(self, make):
+        learner = make()
+        dist, con = build_slow_rate_distribution(learner, lambda j: 1.0 / j, depth=6)
+        rows = validate_slow_rate(dist, con, learner, trials=2000, base_seed=3)
+        assert [row["level"] for row in rows] == [2, 3, 4, 5, 6]
+        assert all(row["meets_target"] for row in rows), rows
 
 
 class TestUniformGadget:

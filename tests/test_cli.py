@@ -239,6 +239,19 @@ class TestAdversaryCommand:
         assert len(val["levels"]) == 4
         assert all(row["meets_target"] for row in val["levels"])
 
+    def test_depth_8_fits_default_budget(self, tmp_path, capsys):
+        # ERM has a count form, so level 8 probes C(13, 7) = 1716 multisets
+        # where ordered probing would need 7^7 = 823,543 tuples
+        code, _, _ = run_cli(
+            ["adversary", "--learner", "erm", "--phi", "inv", "--depth", "8",
+             "--trials", "200", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        con = json.loads((tmp_path / "construction.json").read_text())
+        assert con["i"][-3:] == [130.0, 265.0, 537.0]
+        assert con["probe_stats"]["levels"][-1]["datasets_probed"] == 1716
+
     def test_budget_exhaustion_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["adversary", "--learner", "erm", "--depth", "7", "--max-datasets", "50",
