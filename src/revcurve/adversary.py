@@ -284,11 +284,16 @@ def validate_slow_rate(
     base_seed: int,
     levels: Sequence[int] | None = None,
 ) -> list[dict]:
-    """Monte Carlo gap at n = j against the R(j)/4 target, one row per level."""
+    """Monte Carlo gap at n = j against the R(j)/4 target, one row per level:
+    each of `levels` (every level 2..depth when None)."""
     from .curves import estimate_gap  # local import keeps module deps one-way
 
+    levels = range(2, construction.depth + 1) if levels is None else list(levels)
+    outside = [j for j in levels if not 2 <= j <= construction.depth]
+    if outside:
+        raise ValueError(f"levels {outside} lie outside 2..{construction.depth}")
     rows = []
-    for j in levels or range(2, construction.depth + 1):
+    for j in levels:
         point = estimate_gap(learner, dist, n=j, trials=trials, base_seed=base_seed)
         target = construction.R[j - 1] / 4.0
         rows.append(

@@ -5,11 +5,14 @@ Reproducibility contract: trial t of a curve point at sample size n is driven
 by Generator(Philox(SeedSequence((base_seed, n, t)))) (see streams.py).  The
 per-trial seeding is counter-based, so results are bit-identical regardless of
 how trials are scheduled across parallel workers.  On an atomic law with
-K <= n atoms and a symmetric learner (one with decide_counts), a trial draws
-the count of each atom, one multinomial draw from the same sample stream,
-instead of n values; every other trial draws the sample.  A learner with
-decide_counts is deterministic (see Learner), so its decide gets rng=None;
-any other learner gets its trial's own learner stream.
+K <= max(n, 128) atoms and a symmetric learner (one with decide_counts), a
+trial is priced as a count row from its sample stream: with K <= n, the count
+of each atom in one multinomial draw instead of n values; with n < K, the
+tally of the very n values the sample path would draw, so such a trial keeps
+the sample path's bits.  Every other trial draws the sample (with more than
+128 atoms, tallying n < K draws costs more than the sample path).  A learner
+with decide_counts is deterministic (see Learner), so its decide gets
+rng=None; any other learner gets its trial's own learner stream.
 
 The loop keeps that contract bit for bit while working on a range of trials
 at once: the sample streams' keys are derived in a batch, count vectors are
@@ -151,10 +154,11 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
     streams = sample_streams(base_seed, n, trial_range)
     table = dist.atom_table
     counted = learner.decide_counts is not None
-    if counted and table is not None and table.values.size <= n:
+    # tallying n < K draws beats the sample path only while a full block of rows fits (K <= 128)
+    if counted and table is not None and table.values.size <= max(n, _BLOCK_CELLS // _BLOCK_ROWS):
         rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // table.values.size))
         for lo in range(0, len(trial_range), rows):
-            counts = np.array([table.draw_counts(rng, n) for rng in islice(streams, rows)])
+            counts = table.count_rows(islice(streams, rows), n)
             prices[lo : lo + len(counts)] = learner.price_counts(table.values, counts, n)
         return prices
     for i, (t, rng) in enumerate(zip(trial_range, streams)):

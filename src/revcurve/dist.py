@@ -126,6 +126,17 @@ class FinitePMF:
         """How many of n i.i.d. draws land on each atom: one multinomial draw."""
         return rng.multinomial(n, self.masses)
 
+    def count_rows(self, rngs, n: int) -> np.ndarray:
+        """One count row per stream, shape (rows, K): its draw_counts when
+        K <= n, else the tally of the n values its draw returns."""
+        k = self.values.size
+        if k <= n:
+            return np.array([self.draw_counts(rng, n) for rng in rngs])
+        idx = np.searchsorted(self._cum, np.array([rng.random(n) for rng in rngs]), side="right")
+        rows = len(idx)
+        idx += k * np.arange(rows)[:, None]  # row r tallies into cells r*K .. r*K + K-1
+        return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+
 
 @dataclass(frozen=True)
 class TailRuleDist:

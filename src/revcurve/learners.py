@@ -103,17 +103,18 @@ class Learner:
     counts nonnegative integers, each row summing to n).  It returns one price
     per row, shape (...), and prices[r] is exactly the float that
     decide(np.repeat(values, counts[r]), n, rng) returns, for any order of that
-    sample and any rng.  Monte Carlo curves on atomic laws then draw only the
-    count of each atom and price a block of trials in one call; on a sample
-    they call decide with rng=None and build no learner stream.  Leave it
-    None for any other rule.
+    sample and any rng.  Monte Carlo curves on atomic laws with K <= max(n,
+    128) atoms then price a block of trials' count rows in one call (a
+    multinomial draw when K <= n, a tally of the n draws when n < K); on a
+    sample they call decide with rng=None and build no learner stream.
+    Leave it None for any other rule.
     """
 
     name: str
     decide: Callable[[np.ndarray, int, Optional[np.random.Generator]], float]
     deterministic: bool = True
     config: Optional[GrowthFns] = None
-    decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], float]] = None
+    decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
 
     def price_counts(self, values: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
         """decide_counts on a block of count rows (shape (rows, K)), one price per row."""
@@ -301,9 +302,13 @@ def make_constant(price: float) -> Learner:
     return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price), decide_counts=_ConstantCounts(price))
 
 
+SUBPROCESS_TIMEOUT_S = 60.0  # wall time one cmd: learner call may take before it counts as hung
+
+
 @dataclass(frozen=True)
 class _SubprocessDecide:
-    """Black-box protocol: write n, then n whitespace-separated values, read one price."""
+    """Black-box protocol: write n, then n whitespace-separated values, read one
+    price within SUBPROCESS_TIMEOUT_S seconds."""
 
     command: tuple[str, ...]
 
@@ -311,8 +316,17 @@ class _SubprocessDecide:
         payload = f"{n}\n" + " ".join(repr(float(v)) for v in values) + "\n"
         try:
             out = subprocess.run(
-                list(self.command), input=payload, capture_output=True, text=True, check=True
+                list(self.command),
+                input=payload,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=SUBPROCESS_TIMEOUT_S,
             ).stdout
+        except subprocess.TimeoutExpired as exc:
+            raise LearnerProcessError(
+                f"subprocess learner {self.command} gave no price within {exc.timeout:g} s"
+            ) from exc
         except (OSError, subprocess.CalledProcessError) as exc:
             raise LearnerProcessError(f"subprocess learner {self.command} failed: {exc}") from exc
         try:

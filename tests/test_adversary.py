@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,49 @@ class TestConsistentTargets:
         rows = validate_slow_rate(dist, con, learner, trials=2000, base_seed=3)
         assert [row["level"] for row in rows] == [2, 3, 4, 5, 6]
         assert all(row["meets_target"] for row in rows), rows
+
+
+class TestValidation:
+    """validate_slow_rate at n = j < K tallies each trial's j draws into one
+    count row; the rows must carry the sample path's bits."""
+
+    @pytest.mark.parametrize("name", TestMultisetProbing.LEARNERS)
+    def test_rows_equal_a_decide_only_copy(self, name):
+        # levels 2..5 have n = j < K = 6; level 6 (K = n) draws one multinomial
+        # count row, as it always has, and the pinned ERM rows below cover it
+        learner = TestMultisetProbing.LEARNERS[name]()
+        dist, con = build_slow_rate_distribution(learner, lambda j: 1.0 / j, depth=6)
+        assert dist.atom_table.values.size == 6
+        levels = range(2, 6)
+        rows = validate_slow_rate(dist, con, learner, trials=500, base_seed=5, levels=levels)
+        sampled = Learner(learner.name, decide=learner.decide)
+        assert rows == validate_slow_rate(dist, con, sampled, trials=500, base_seed=5, levels=levels)
+
+    def test_erm_depth6_rows_keep_their_bits(self):
+        dist, con = build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth=6)
+        rows = validate_slow_rate(dist, con, make_erm(), trials=500, base_seed=5)
+        assert [(row["mean_gap"], row["std_err"]) for row in rows] == [
+            (0.9284666666666668, 0.026373880488713728),
+            (0.7300333333333333, 0.021228035211905878),
+            (0.6040000000000001, 0.01847387076753555),
+            (0.5358333333333334, 0.01725687591075119),
+            (0.4767999999999999, 0.015945072719225087),
+        ]
+
+    def test_levels_are_validated_exactly_as_given(self):
+        lr = make_constant(1.0)
+        dist, con = build_slow_rate_distribution(lr, lambda j: 1.0 / j, depth=4)
+        assert validate_slow_rate(dist, con, lr, trials=20, base_seed=1, levels=[]) == []
+        rows = validate_slow_rate(dist, con, lr, trials=20, base_seed=1, levels=[4, 2])
+        assert [row["level"] for row in rows] == [4, 2]
+
+    @pytest.mark.parametrize("levels", [[0], [1, 2], [5], [2, 9]])
+    def test_level_outside_two_to_depth_is_refused(self, levels):
+        lr = make_constant(1.0)
+        dist, con = build_slow_rate_distribution(lr, lambda j: 1.0 / j, depth=4)
+        bad = [j for j in levels if not 2 <= j <= 4]
+        with pytest.raises(ValueError, match=re.escape(f"levels {bad} lie outside 2..4")):
+            validate_slow_rate(dist, con, lr, trials=20, base_seed=1, levels=levels)
 
 
 class TestUniformGadget:

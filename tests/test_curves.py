@@ -290,6 +290,15 @@ class TestCountPath:
         # K = 202 atoms fit at n = 202
         estimate_gap(counts_only, zoo("discrete_no_opt", truncation_depth=200), n=202, trials=2, base_seed=1)
 
+    def test_few_atoms_are_tallied_below_k(self):
+        # n < K <= 128: the n draws are tallied into a count row, never handed to decide
+        counts_only = Learner(name="counts only", decide=_refuse_samples, decide_counts=make_constant(1.0).decide_counts)
+        for law, n in [(zoo("erm_hard"), 3), (zoo("discrete_no_opt", truncation_depth=126), 1)]:  # K = 22, 128
+            assert law.atom_table.values.size > n
+            estimate_gap(counts_only, law, n=n, trials=3, base_seed=1)
+        with pytest.raises(AssertionError, match="sample path"):  # K = 129
+            estimate_gap(counts_only, zoo("discrete_no_opt", truncation_depth=127), n=128, trials=2, base_seed=1)
+
     def test_count_path_agrees_with_sample_path_in_distribution(self):
         d = zoo("erm_hard")
         lr = make_erm()

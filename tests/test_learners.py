@@ -372,6 +372,12 @@ class TestSubprocessLearner:
         with pytest.raises(LearnerProcessError):
             lr.decide(np.array([1.0]), 1, None)
 
+    def test_hung_child_times_out(self, monkeypatch):
+        monkeypatch.setattr(learners, "SUBPROCESS_TIMEOUT_S", 0.5)
+        lr = make_subprocess([sys.executable, "-c", "import time; time.sleep(30)"])
+        with pytest.raises(LearnerProcessError, match=r"time\.sleep\(30\).*within 0\.5 s"):
+            lr.decide(np.array([1.0]), 1, None)
+
     def test_spec_keeps_quoted_arguments(self):
         lr = parse_learner(f'cmd:{shlex.quote(sys.executable)} -c "print(1.5)"')
         assert lr.decide(np.array([1.0]), 1, None) == 1.5

@@ -4,6 +4,8 @@
 must equal SeedSequence's own; `_trial_revenues` draws count vectors in blocks
 and prices each block with one row call, and must return the bits of
 `reference_trial_revenues`, a copy of the earlier one-trial-at-a-time loop.
+Where that loop drew a sample (n < K <= 128), the batched loop tallies the
+same draws into count rows, so the bits must still be equal.
 """
 
 import numpy as np
@@ -111,6 +113,10 @@ COUNT_SPECS = [
 
 LAWS = [
     ("erm_hard", 64),  # K = 22 atoms <= n: count path
+    ("erm_hard", 8),  # n < K = 22 <= 128: tallied count path
+    ("finite:1@0.1,2@0.2,3@0.3,5@0.2,8@0.1,13@0.1", 3),  # n < K = 6: tallied
+    ("discrete_no_opt:truncation_depth=126", 1),  # K = 128: tallied at the bound
+    ("discrete_no_opt:truncation_depth=126", 127),
     ("two_point:p=1,p_prime=3,c=2", 5),
     ("finite:1@0.2,10@0.79,1000@0.01", 300),
     ("finite:1@0.5,1.0000000000000002@0.5", 9),  # near-tie atoms
@@ -145,7 +151,9 @@ class TestBatchedLoopMatchesReference:
         assert np.array_equal(got, reference_trial_revenues(lr, dist, 256, trials, 12))
 
     @pytest.mark.parametrize("rows,cells,chunk", [(1, 1 << 14, 1), (3, 1 << 14, 5), (128, 50, 7)])
-    @pytest.mark.parametrize("law,n", [("erm_hard", 64), ("discrete_no_opt:truncation_depth=200", 300)])
+    @pytest.mark.parametrize(
+        "law,n", [("erm_hard", 64), ("erm_hard", 8), ("discrete_no_opt:truncation_depth=200", 300)]
+    )
     def test_block_and_chunk_sizes_change_nothing(self, monkeypatch, rows, cells, chunk, law, n):
         dist = parse_dist(law)
         trials = range(11, 60)
