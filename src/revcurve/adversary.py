@@ -397,11 +397,6 @@ class GadgetReport:
     worst_price: float  # the swept price attaining the minimum margin
 
 
-def _mass_between(dist: Distribution, lo: float, hi: float) -> float:
-    """D([lo, hi))."""
-    return dist.survival(lo) - dist.survival(hi)
-
-
 def verify_gadget(
     gp: GadgetParams,
     dist: Distribution,
@@ -421,7 +416,7 @@ def verify_gadget(
     top = dist.survival_strict(gp.x - g2)  # D((x - gamma^2, 1])
     if not (gp.q - 1e-12 <= top <= gp.q + g2 + 1e-12):
         raise GadgetStructureError(f"condition 1 violated: D((x-gamma^2, 1]) = {top!r} not in [q, q+gamma^2]")
-    mid = _mass_between(dist, gp.x_pq - g2, gp.x_pq + g2)
+    mid = dist.survival(gp.x_pq - g2) - dist.survival(gp.x_pq + g2)  # D([x_pq - gamma^2, x_pq + gamma^2))
     want = gp.p + sigma * gp.gamma
     if not (want - g2 - 1e-12 <= mid <= want + g2 + 1e-12):
         raise GadgetStructureError(

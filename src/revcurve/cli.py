@@ -160,7 +160,7 @@ def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
     summary: dict = {"curve": str(out / "curve.csv")}
     try:
         fit = curves.fit_power(curve)
-        summary["fit"] = json.loads(fit.to_json())
+        summary["fit"] = asdict(fit)
         if fit.slope_or_rate > -0.05:
             summary["flag"] = "no positive decay detected"
     except curves.InsufficientDataError:

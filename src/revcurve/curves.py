@@ -149,7 +149,8 @@ _BLOCK_ROWS = 128  # count vectors priced per decide_counts call ...
 _BLOCK_CELLS = 1 << 14  # ... and at most this many counts in one block
 
 
-def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
+def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
+    """True revenue of each trial's price."""
     prices = np.empty(len(trial_range))
     streams = sample_streams(base_seed, n, trial_range)
     table = dist.atom_table
@@ -160,7 +161,7 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
         for lo in range(0, len(trial_range), rows):
             counts = table.count_rows(islice(streams, rows), n)
             prices[lo : lo + len(counts)] = learner.price_counts(table.values, counts, n)
-        return prices
+        return dist.revenue(prices)
     for i, (t, rng) in enumerate(zip(trial_range, streams)):
         # s lives until the next sample is drawn; this matters only where the heap
         # thresholds above could not be set, as freeing a large sample first
@@ -168,12 +169,7 @@ def _trial_prices(learner: Learner, dist: Distribution, n: int, trial_range, bas
         s = dist.sample(rng, n)
         # a count-form rule is deterministic and reads no stream (see Learner)
         prices[i] = learner.decide(s.values, n, None if counted else learner_stream(base_seed, n, t))
-    return prices
-
-
-def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, base_seed: int) -> np.ndarray:
-    """True revenue of each trial's price."""
-    return dist.revenue(_trial_prices(learner, dist, n, trial_range, base_seed))
+    return dist.revenue(prices)
 
 
 _worker_inputs: tuple[Learner, Distribution] | None = None  # set once in each pool worker
@@ -189,14 +185,63 @@ def _worker_revenues(n: int, start: int, stop: int, base_seed: int) -> np.ndarra
     return _trial_revenues(learner, dist, n, range(start, stop), base_seed)
 
 
-def _revenue_stats(learner, dist, grid, trials, base_seed, workers) -> list[tuple[int, float, float]]:
-    """(n, mean revenue, std err) per grid point, all points in one pool when workers > 1."""
+def estimate_gap(
+    learner: Learner,
+    dist: Distribution,
+    n: int,
+    trials: int,
+    base_seed: int,
+    workers: int = 1,
+) -> CurvePoint:
+    """Mean revenue gap opt - E[rev(price)] over seeded independent trials.
+
+    The gap is evaluated against the true distribution (exact revenue of the
+    returned price), never against a held-out empirical estimate.
+    """
+    return learning_curve(learner, dist, [n], trials, base_seed, workers).points[0]
+
+
+def learning_curve(
+    learner: Learner,
+    dist: Distribution,
+    grid: Sequence[int],
+    trials: int,
+    base_seed: int,
+    workers: int = 1,
+) -> LearningCurve:
+    opt = dist.optimal_revenue()
+    if not math.isfinite(opt.value):
+        raise GapUndefinedError(
+            f"optimal revenue of {dist.label} is infinite; use expected_revenue_curve() "
+            "to track revenue growth instead"
+        )
+    stats = expected_revenue_curve(learner, dist, grid, trials, base_seed, workers)
+    points = tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=trials) for n, mean, se in stats)
+    return LearningCurve(learner.name, dist.label, points, base_seed)
+
+
+def expected_revenue_curve(
+    learner: Learner,
+    dist: Distribution,
+    grid: Sequence[int],
+    trials: int,
+    base_seed: int,
+    workers: int = 1,
+) -> list[tuple[int, float, float]]:
+    """(n, mean revenue, std err) per grid point, all points in one pool when
+    workers > 1; the consistency harness for distributions whose optimal
+    revenue is infinite."""
+    for n in grid:
+        if not (n >= 1 and n % 1 == 0):
+            raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
     grid = [int(n) for n in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ValueError("sample-size grid must be nonempty and strictly increasing")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         revs = [_trial_revenues(learner, dist, n, range(trials), base_seed) for n in grid]
     else:
         try:
@@ -219,58 +264,6 @@ def _revenue_stats(learner, dist, grid, trials, base_seed, workers) -> list[tupl
         per_n = len(parts) // len(grid)
         revs = [np.concatenate(parts[i : i + per_n]) for i in range(0, len(parts), per_n)]
     return [(n, float(np.mean(r)), float(np.std(r, ddof=1) / math.sqrt(trials))) for n, r in zip(grid, revs)]
-
-
-def _gap_points(learner, dist, grid, trials, base_seed, workers) -> tuple[CurvePoint, ...]:
-    opt = dist.optimal_revenue()
-    if not math.isfinite(opt.value):
-        raise GapUndefinedError(
-            f"optimal revenue of {dist.label} is infinite; use expected_revenue_curve() "
-            "to track revenue growth instead"
-        )
-    stats = _revenue_stats(learner, dist, grid, trials, base_seed, workers)
-    return tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=trials) for n, mean, se in stats)
-
-
-def estimate_gap(
-    learner: Learner,
-    dist: Distribution,
-    n: int,
-    trials: int,
-    base_seed: int,
-    workers: int = 1,
-) -> CurvePoint:
-    """Mean revenue gap opt - E[rev(price)] over seeded independent trials.
-
-    The gap is evaluated against the true distribution (exact revenue of the
-    returned price), never against a held-out empirical estimate.
-    """
-    return _gap_points(learner, dist, [n], trials, base_seed, workers)[0]
-
-
-def learning_curve(
-    learner: Learner,
-    dist: Distribution,
-    grid: Sequence[int],
-    trials: int,
-    base_seed: int,
-    workers: int = 1,
-) -> LearningCurve:
-    points = _gap_points(learner, dist, grid, trials, base_seed, workers)
-    return LearningCurve(learner.name, dist.label, points, base_seed)
-
-
-def expected_revenue_curve(
-    learner: Learner,
-    dist: Distribution,
-    grid: Sequence[int],
-    trials: int,
-    base_seed: int,
-    workers: int = 1,
-) -> list[tuple[int, float, float]]:
-    """(n, mean revenue, std err) per grid point; the consistency harness for
-    distributions whose optimal revenue is infinite."""
-    return _revenue_stats(learner, dist, grid, trials, base_seed, workers)
 
 
 # -- rate fits ---------------------------------------------------------------

@@ -103,11 +103,8 @@ class Learner:
     counts nonnegative integers, each row summing to n).  It returns one price
     per row, shape (...), and prices[r] is exactly the float that
     decide(np.repeat(values, counts[r]), n, rng) returns, for any order of that
-    sample and any rng.  Monte Carlo curves on atomic laws with K <= max(n,
-    128) atoms then price a block of trials' count rows in one call (a
-    multinomial draw when K <= n, a tally of the n draws when n < K); on a
-    sample they call decide with rng=None and build no learner stream.
-    Leave it None for any other rule.
+    sample and any rng, so callers may pass rng=None to its decide.  Leave it
+    None for any other rule.
     """
 
     name: str
@@ -132,11 +129,6 @@ def _left(m: int) -> np.ndarray:
     return left
 
 
-def _sorted_view(e: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-sample front door: the sorted values themselves and left."""
-    return e.sorted_values, _left(e.n)
-
-
 def _count_view(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Count-vector front door: left = m - (cumsum(c) - c) along the last axis
     (the number of values >= each atom, drawn or not) and the mask of drawn atoms."""
@@ -159,18 +151,18 @@ def _mask(x: np.ndarray, drawn: Optional[np.ndarray]) -> np.ndarray:
 
 def erm(e: EmpiricalDist) -> float:
     """Smallest sample value maximizing empirical revenue."""
-    return float(_erm_price(*_sorted_view(e), None, e.n))
+    return _Rule().on_sorted(e, e.n)
 
 
 def truncated_erm(e: EmpiricalDist, n: int) -> float:
     """ERM restricted to prices at most max(ln n, 1)."""
-    return capped_erm(e, n, _g_log)
+    return _Rule(cap=_g_log).on_sorted(e, n)
 
 
 def capped_erm(e: EmpiricalDist, n: int, g: Callable[[int], float]) -> float:
     """ERM restricted to prices at most g(n): the best of the sample values
     below the cap and the cap itself, the smaller price winning a tie."""
-    return float(_capped_price(*_sorted_view(e), None, e.n, g(n)))
+    return _Rule(cap=g).on_sorted(e, n)
 
 
 def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float:
@@ -181,7 +173,7 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
     only the first occurrence of each distinct value can win, and the scan over
     the full sorted multiset picks the same price as one over distinct values.
     """
-    return float(_structural_price(*_sorted_view(e), None, e.n, f(n)))
+    return _Rule(scale=f).on_sorted(e, n)
 
 
 # -- the rules, row by row along the last axis --------------------------------
@@ -233,16 +225,12 @@ def _structural_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.n
 
 
 @dataclass(frozen=True)
-class _ErmDecide:
+class _Rule:
     """Plain ERM, capped at cap(n), or structural with confidence scale(n),
-    priced from a sample."""
+    priced from a sample (decide) or from count vectors (decide_counts)."""
 
     cap: Optional[Callable[[int], float]] = None
     scale: Optional[Callable[[int], float]] = None
-
-    def __call__(self, values, n, rng):
-        e = EmpiricalDist.from_values(values)
-        return float(self.price(*_sorted_view(e), None, e.n, n))
 
     def price(self, values, left, drawn, m, n):
         if self.scale is not None:
@@ -251,55 +239,54 @@ class _ErmDecide:
             return _capped_price(values, left, drawn, m, self.cap(n))
         return _erm_price(values, left, drawn, m)
 
+    def on_sorted(self, e: EmpiricalDist, n: int) -> float:
+        return float(self.price(e.sorted_values, _left(e.n), None, e.n, n))
 
-@dataclass(frozen=True)
-class _ErmCounts(_ErmDecide):
-    """The same rule priced from count vectors, one price per row."""
+    def decide(self, values, n, rng):
+        return self.on_sorted(EmpiricalDist.from_values(values), n)
 
-    def __call__(self, values, counts, n):
+    def decide_counts(self, values, counts, n):
         return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts), n), n, n)
 
 
 @dataclass(frozen=True)
-class _ConstantDecide:
+class _Constant:
     """A constant price ignores its data."""
 
     price: float
 
-    def __call__(self, values, n, rng):
+    def decide(self, values, n, rng):
         return self.price
 
-
-@dataclass(frozen=True)
-class _ConstantCounts(_ConstantDecide):
-    def __call__(self, values, counts, n):
+    def decide_counts(self, values, counts, n):
         return np.full(np.shape(counts)[:-1], self.price)[()]
 
 
-def _erm_learner(name: str, config: GrowthFns | None = None, **rule) -> Learner:
-    return Learner(name=name, decide=_ErmDecide(**rule), config=config, decide_counts=_ErmCounts(**rule))
+def _learner(name: str, rule: _Rule | _Constant, config: GrowthFns | None = None) -> Learner:
+    # bound methods of a frozen record pickle by reference, so pool workers get this rule
+    return Learner(name=name, decide=rule.decide, config=config, decide_counts=rule.decide_counts)
 
 
 def make_erm() -> Learner:
-    return _erm_learner("erm")
+    return _learner("erm", _Rule())
 
 
 def make_truncated() -> Learner:
-    return _erm_learner("truncated", cap=_g_log)
+    return _learner("truncated", _Rule(cap=_g_log))
 
 
 def make_capped(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return _erm_learner(f"capped[g={growth.g_name}]", growth, cap=growth.g)
+    return _learner(f"capped[g={growth.g_name}]", _Rule(cap=growth.g), growth)
 
 
 def make_structural(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return _erm_learner(f"structural[f={growth.f_name}]", growth, scale=growth.f)
+    return _learner(f"structural[f={growth.f_name}]", _Rule(scale=growth.f), growth)
 
 
 def make_constant(price: float) -> Learner:
-    return Learner(name=f"const[{price:g}]", decide=_ConstantDecide(price), decide_counts=_ConstantCounts(price))
+    return _learner(f"const[{price:g}]", _Constant(price))
 
 
 SUBPROCESS_TIMEOUT_S = 60.0  # wall time one cmd: learner call may take before it counts as hung

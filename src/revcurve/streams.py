@@ -4,12 +4,8 @@ Reproducibility contract: trial t of a curve point at sample size n is driven
 by SeedSequence((base_seed, n, t)), whose two spawned children seed the
 trial's sample stream and its learner's stream, each a Generator over Philox
 (trial_streams).  The seeding is counter-based, so a trial's draws do not
-depend on how trials are scheduled across workers.  The Monte Carlo loop
-builds the learner stream only for a learner that may read it (one without
-decide_counts); a count-form learner is deterministic and gets rng=None.  On
-an atomic law the sample stream yields either a multinomial count vector
-(K <= n atoms) or n uniforms that FinitePMF.count_rows tallies into counts
-(n < K <= 128) just as FinitePMF.draw maps them to values.
+depend on how trials are scheduled across workers.  sample_stream and
+learner_stream build either stream alone, bit for bit.
 
 stream_keys derives many trials' Philox keys in one NumPy pass of
 SeedSequence's own mixing, bit for bit, and sample_streams sets one reused

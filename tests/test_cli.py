@@ -383,6 +383,16 @@ class TestDeclaredFlags:
         assert code == 2 and "workers must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("learner", ["erm", "structural", "const:1"])
+    def test_grid_size_zero_exit_2(self, learner, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["curve", "--learner", learner, "--dist", "two_point:p=1,p_prime=3,c=2", "--grid", "0,10",
+             "--trials", "5", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and "sample size 0" in err
+        assert not (tmp_path / "curve.csv").exists()
+
     @pytest.mark.parametrize(
         "args",
         [

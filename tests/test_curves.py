@@ -318,10 +318,24 @@ class TestCountPath:
         const_pt = estimate_gap(parse_learner("const:1"), zoo("discrete_no_opt"), n=1000, trials=50, base_seed=7)
         assert (const_pt.mean_gap, const_pt.std_err) == (1.0, 0.0)
 
-    @pytest.mark.parametrize("make", [make_capped, make_structural])
-    def test_worker_count_invariance_capped_and_structural(self, make):
+    @pytest.mark.parametrize(
+        "make,law",
+        [
+            # erm_hard prices count rows, uniform01 sends every trial's sample through decide
+            pytest.param(make, law, id=name if law == "erm_hard" else f"{name}-{law}")
+            for law in ("erm_hard", "uniform01")
+            for name, make in (
+                ("make_erm", make_erm),
+                ("make_truncated", make_truncated),
+                ("make_capped", make_capped),
+                ("make_structural", make_structural),
+                ("const_1", lambda: parse_learner("const:1")),
+            )
+        ],
+    )
+    def test_worker_count_invariance_capped_and_structural(self, make, law):
         # 301 trials: not a multiple of the pool's chunk (38) or the 128-row count block
-        d = zoo("erm_hard")
+        d = zoo(law)
         seq = learning_curve(make(), d, [16, 64, 256], trials=301, base_seed=17, workers=1)
         par = learning_curve(make(), d, [16, 64, 256], trials=301, base_seed=17, workers=2)
         assert seq == par
@@ -347,11 +361,33 @@ class TestLearningCurve:
     @pytest.mark.parametrize("fn", [learning_curve, expected_revenue_curve])
     @pytest.mark.parametrize(
         "grid,trials,match",
-        [([], 10, "grid"), ([100, 10], 10, "grid"), ([10, 10], 10, "grid"), ([10, 100], 1, "2 trials")],
+        [
+            ([], 10, "grid"),
+            ([100, 10], 10, "grid"),
+            ([10, 10], 10, "grid"),
+            ([10, 100], 1, "2 trials"),
+            ([0, 10], 10, "sample size 0 "),
+            ([-1, 10], 10, "sample size -1 "),
+            ([2.5, 10], 10, "sample size 2.5 "),
+        ],
     )
     def test_inputs_validated(self, fn, grid, trials, match):
         with pytest.raises(ValueError, match=match):
             fn(make_erm(), zoo("uniform01"), grid, trials=trials, base_seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_refused(self, workers):
+        d = two_point(1.0, 3.0, 2.0)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            estimate_gap(make_erm(), d, n=10, trials=10, base_seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            expected_revenue_curve(make_erm(), d, [10, 20], trials=10, base_seed=1, workers=workers)
+
+    @pytest.mark.parametrize("spec", ["erm", "structural", "const:1"])
+    def test_size_zero_on_a_few_atom_law_refused(self, spec):
+        # the count path never draws a sample, so it never reached the sample's own n >= 1 check
+        with pytest.raises(ValueError, match="sample size 0 "):
+            estimate_gap(parse_learner(spec), two_point(1.0, 3.0, 2.0), n=0, trials=10, base_seed=1)
 
     def test_worker_count_invariance_whole_grid(self):
         d = zoo("erm_hard")
