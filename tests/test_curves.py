@@ -385,7 +385,7 @@ class TestLearningCurve:
 
     @pytest.mark.parametrize("spec", ["erm", "structural", "const:1"])
     def test_size_zero_on_a_few_atom_law_refused(self, spec):
-        # the count path never draws a sample, so it never reached the sample's own n >= 1 check
+        # a few-atom law is priced on the count path, which draws no sample that could check n
         with pytest.raises(ValueError, match="sample size 0 "):
             estimate_gap(parse_learner(spec), two_point(1.0, 3.0, 2.0), n=0, trials=10, base_seed=1)
 
