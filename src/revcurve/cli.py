@@ -60,6 +60,8 @@ def _parse_grid(text: str) -> list[int]:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid must be nonempty and strictly increasing")
+    if grid[0] < 1:
+        raise ConfigError(f"sample size {grid[0]} in the grid is below 1")
     return grid
 
 
@@ -151,9 +153,9 @@ def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
     grid = _parse_grid(args.grid)
     seed = _base_seed(args)
     workers = _workers(args)
+    curve = curves.learning_curve(learner, dist, grid, args.trials, seed, workers=workers)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    curve = curves.learning_curve(learner, dist, grid, args.trials, seed, workers=workers)
     curve.to_csv(out / "curve.csv")
     (out / "curve.json").write_text(curve.to_json() + "\n")
     (out / "curve.svg").write_text(_svg_log_log([(p.n, p.mean_gap) for p in curve.points], f"{curve.learner_name} on {curve.dist_label}"))

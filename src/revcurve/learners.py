@@ -27,7 +27,8 @@ import functools
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass, replace
+import types
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,7 +93,7 @@ def _f_quarter(n: int) -> float:
     return n ** -0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Learner:
     """A pricing rule: decide(values, n, rng) -> posted price.
 
@@ -112,6 +113,20 @@ class Learner:
     deterministic: bool = True
     config: Optional[GrowthFns] = None
     decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
+
+    def _value(self) -> tuple:
+        # Python compares a bound method's __self__ by identity; compare it by
+        # value, so equal rules, pickled or not, make equal learners
+        return tuple(
+            (v.__func__, v.__self__) if isinstance(v, types.MethodType) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        return self._value() == other._value() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._value())
 
     def price_counts(self, values: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
         """decide_counts on a block of count rows (shape (rows, K)), one price per row."""

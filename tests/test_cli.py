@@ -383,6 +383,17 @@ class TestDeclaredFlags:
         assert code == 2 and "workers must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid,trials,msg", [("0,10", "5", "sample size 0"), ("1,10", "1", "2 trials")])
+    def test_bad_curve_input_exit_2_before_out(self, grid, trials, msg, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", "uniform01", "--grid", grid, "--trials", trials,
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and msg in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("learner", ["erm", "structural", "const:1"])
     def test_grid_size_zero_exit_2(self, learner, tmp_path, capsys):
         code, _, err = run_cli(

@@ -8,6 +8,8 @@ Where that loop drew a sample (n < K <= 128), the batched loop tallies the
 same draws into count rows, so the bits must still be equal.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -77,18 +79,27 @@ class TestStreamKeys:
 
     def test_reused_generator_is_a_fresh_sample_stream(self):
         # the state set per trial restarts the counter and empties the buffer,
-        # even after the previous trial drew an odd number of 32-bit words
-        for t, rng in zip(range(40, 45), sample_streams(7, 100, range(40, 45))):
-            fresh = sample_stream(7, 100, t)
-            got, want = rng.bit_generator.state, fresh.bit_generator.state
-            for word in ("key", "counter"):
-                assert np.array_equal(got["state"][word], want["state"][word])
-            assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
-                want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
-            ]
-            odd = rng.integers(0, 2**32, size=3, dtype=np.uint32)
-            assert np.array_equal(odd, fresh.integers(0, 2**32, size=3, dtype=np.uint32))
-            assert np.array_equal(rng.random(5), fresh.random(5))
+        # even after the previous trial drew an odd number of 32-bit words; it
+        # holds for key words of 2^63 and more and across a stream_keys chunk
+        chunk = streams._KEY_CHUNK
+        cases = [(7, 100, range(40, 45)), (2**40 + 3, 64, range(5, 5 + chunk + 4))]
+        wide = 0
+        for base_seed, n, trials in cases:
+            for t, rng in zip(trials, sample_streams(base_seed, n, trials)):
+                fresh = sample_stream(base_seed, n, t)
+                got, want = rng.bit_generator.state, fresh.bit_generator.state
+                for word in ("key", "counter"):
+                    assert got["state"][word].dtype == np.uint64
+                    assert np.array_equal(got["state"][word], want["state"][word])
+                assert got["buffer"].dtype == np.uint64 and np.array_equal(got["buffer"], want["buffer"])
+                assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+                    want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
+                ]
+                wide += int(got["state"]["key"].max() >= 2**63)
+                odd = rng.integers(0, 2**32, size=3, dtype=np.uint32)
+                assert np.array_equal(odd, fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+                assert np.array_equal(rng.random(5), fresh.random(5))
+        assert wide > 0
 
 
 def _rng_price(values, n, rng):
@@ -110,6 +121,16 @@ COUNT_SPECS = [
     "structural:f=const:0",
     "const:7",
 ]
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS)
+def test_learners_compare_by_value(spec):
+    # a pool worker's unpickled learner equals the caller's
+    lr = parse_learner(spec)
+    assert lr == parse_learner(spec) and hash(lr) == hash(parse_learner(spec))
+    assert pickle.loads(pickle.dumps(lr)) == lr
+    assert all(lr != parse_learner(other) for other in COUNT_SPECS if other != spec)
+
 
 LAWS = [
     ("erm_hard", 64),  # K = 22 atoms <= n: count path
