@@ -68,10 +68,7 @@ def monotone_envelope(phi: Callable[[int], float], horizon: int) -> RateFn:
         if not (0.0 < v <= 1.0):
             raise ValueError(f"phi({j}) = {v!r} outside (0, 1]")
         phis.append(v)
-    env = [phis[0]]
-    for v in phis[1:]:
-        env.append(v if v <= env[-1] else env[-1])
-    return RateFn(phi=tuple(phis), R=tuple(env))
+    return RateFn(phi=tuple(phis), R=tuple(itertools.accumulate(phis, min)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,19 @@ class BoundResult:
     quantile_miss_prob: float = 0.0
 
 
+def _outputs(learner: Learner, dataset: np.ndarray, trials: int, rng: Optional[np.random.Generator]) -> np.ndarray:
+    """The learner's prices on dataset: its one output when deterministic,
+    else `trials` outputs drawn with rng."""
+    if trials < 1:
+        raise ValueError(f"probe trials must be >= 1, got {trials}")
+    dataset = np.asarray(dataset, dtype=np.float64)
+    if learner.deterministic:
+        return np.array([float(learner.decide(dataset, dataset.size, rng))])
+    if rng is None:
+        raise ValueError("randomized learners need an rng")
+    return np.array([float(learner.decide(dataset, dataset.size, rng)) for _ in range(trials)])
+
+
 def bound_learner_output(
     learner: Learner,
     dataset: np.ndarray,
@@ -95,17 +105,12 @@ def bound_learner_output(
     trials: int,
     rng: Optional[np.random.Generator] = None,
 ) -> BoundResult:
-    dataset = np.asarray(dataset, dtype=np.float64)
-    n = dataset.size
     if not (0.0 < confidence_mass < 1.0):
         raise ValueError("confidence_mass must be in (0, 1)")
-    if trials < 1:
-        raise ValueError(f"probe trials must be >= 1, got {trials}")
+    outputs = _outputs(learner, dataset, trials, rng)
     if learner.deterministic:
-        return BoundResult(value=float(learner.decide(dataset, n, rng)), exact=True)
-    if rng is None:
-        raise ValueError("randomized learners need an rng for quantile probing")
-    outputs = np.sort([float(learner.decide(dataset, n, rng)) for _ in range(trials)])
+        return BoundResult(value=float(outputs[0]), exact=True)
+    outputs.sort()
     # target the (1 - conf/2) quantile, then move up by the one-sided DKW margin
     # so the estimate covers the true quantile except with probability beta
     beta = confidence_mass / 4.0
@@ -397,13 +402,10 @@ class GadgetReport:
     worst_price: float  # the swept price attaining the minimum margin
 
 
-def verify_gadget(
-    gp: GadgetParams,
-    dist: Distribution,
-    sigma: int,
-    grid_points: int = 20_001,
-    sweep_side: Optional[str] = None,
-) -> GadgetReport:
+_GADGET_GRID_POINTS = 20_001  # uniform prices in verify_gadget's sweep
+
+
+def verify_gadget(gp: GadgetParams, dist: Distribution, sigma: int, sweep_side: Optional[str] = None) -> GadgetReport:
     """Check family membership, then sweep the claimed-bad side of the midpoint.
 
     Membership (the three mass conditions) is checked against sigma.  The sweep
@@ -430,10 +432,10 @@ def verify_gadget(
     opt = dist.optimal_revenue().value
     side = sweep_side or ("low" if sigma == -1 else "high")
     if side == "low":
-        grid = np.linspace(0.0, gp.midpoint, grid_points)
+        grid = np.linspace(0.0, gp.midpoint, _GADGET_GRID_POINTS)
         cand = np.concatenate([grid, atoms[atoms <= gp.midpoint], [gp.midpoint]])
     elif side == "high":
-        grid = np.linspace(gp.midpoint, 1.0, grid_points)
+        grid = np.linspace(gp.midpoint, 1.0, _GADGET_GRID_POINTS)
         cand = np.concatenate([grid, atoms[atoms >= gp.midpoint], [gp.midpoint]])
     else:
         raise ValueError("sweep_side must be 'low' or 'high'")
@@ -527,14 +529,7 @@ def exp_lb_witness(
     out = []
     for n in n_grid:
         n = int(n)
-        dataset = np.full(n, p)
-        if learner.deterministic:
-            a_n = 1.0 if float(learner.decide(dataset, n, rng)) == p else 0.0
-        else:
-            if rng is None:
-                raise ValueError("randomized learners need an rng")
-            hits = sum(float(learner.decide(dataset, n, rng)) == p for _ in range(trials))
-            a_n = hits / trials
+        a_n = float(np.mean(_outputs(learner, np.full(n, p), trials, rng) == p))
         if a_n <= 0.5:
             out.append(WitnessPoint(n=n, a_n=a_n, witness="point_mass", gap=p / 2.0))
         else:

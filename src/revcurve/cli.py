@@ -44,8 +44,6 @@ def _base_seed(args) -> int:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {args.workers}")
         return args.workers
     try:
         return len(os.sched_getaffinity(0))
@@ -185,8 +183,6 @@ def _parse_phi(spec: str):
 
 
 def _cmd_adversary(args) -> int:
-    if args.depth < 2:
-        raise ConfigError("depth must be >= 2")
     learner = parse_learner(args.learner)
     phi = _parse_phi(args.phi)
     seed = _base_seed(args)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import numbers
 import pickle
 import sys
 from dataclasses import asdict, dataclass
@@ -42,7 +43,8 @@ import numpy as np
 from .dist import Distribution, FinitePMF
 from .learners import Learner
 from .streams import learner_stream, sample_streams
-from .streams import sample_stream, trial_streams  # noqa: F401  (importable from curves, as before)
+# bench/tracing.py and tests/test_curves.py import these two from revcurve.curves
+from .streams import sample_stream, trial_streams  # noqa: F401
 
 __all__ = [
     "CurvePoint",
@@ -216,7 +218,7 @@ def learning_curve(
             "to track revenue growth instead"
         )
     stats = expected_revenue_curve(learner, dist, grid, trials, base_seed, workers)
-    points = tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=trials) for n, mean, se in stats)
+    points = tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=int(trials)) for n, mean, se in stats)
     return LearningCurve(learner.name, dist.label, points, base_seed)
 
 
@@ -237,8 +239,11 @@ def expected_revenue_curve(
     grid = [int(n) for n in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ValueError("sample-size grid must be nonempty and strictly increasing")
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+    if not (trials >= 2 and trials % 1 == 0):
+        raise ValueError(f"trials {trials!r} is not a whole number >= 2 (a standard error needs 2 trials)")
+    trials = int(trials)
+    if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
+        raise ValueError(f"base seed {base_seed!r} is not an integer >= 0")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:

@@ -118,9 +118,12 @@ class FinitePMF:
         i = int(np.argmax(rev))  # first maximizer = smallest optimal atom
         return OptResult(float(rev[i]), float(self.values[i]))
 
+    def _atoms_hit(self, u: np.ndarray) -> np.ndarray:
+        """The atom index each uniform in u draws: the first whose cumulative mass exceeds it."""
+        return np.searchsorted(self._cum, u, side="right")
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = np.searchsorted(self._cum, rng.random(n), side="right")
-        return self.values[idx]
+        return self.values[self._atoms_hit(rng.random(n))]
 
     def draw_counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """How many of n i.i.d. draws land on each atom: one multinomial draw."""
@@ -132,7 +135,7 @@ class FinitePMF:
         k = self.values.size
         if k <= n:
             return np.array([self.draw_counts(rng, n) for rng in rngs])
-        idx = np.searchsorted(self._cum, np.array([rng.random(n) for rng in rngs]), side="right")
+        idx = self._atoms_hit(np.array([rng.random(n) for rng in rngs]))
         rows = len(idx)
         idx += k * np.arange(rows)[:, None]  # row r tallies into cells r*K .. r*K + K-1
         return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
@@ -333,17 +336,18 @@ class Distribution:
         """Pr[v > p], a float for a float."""
         return self._survival(p, strict=True)
 
+    def _cdf(self, p, strict: bool):
+        x = np.asarray(p, dtype=np.float64)
+        f = np.where(x >= 0.0 if strict else x > 0.0, 1.0 - self._survival(np.maximum(x, 0.0), strict=strict), 0.0)
+        return float(f) if x.ndim == 0 else f
+
     def cdf(self, p):
         """Pr[v < p], a float for a float; 0 at every p <= 0."""
-        x = np.asarray(p, dtype=np.float64)
-        f = np.where(x > 0.0, 1.0 - self._survival(np.maximum(x, 0.0), strict=False), 0.0)
-        return float(f) if x.ndim == 0 else f
+        return self._cdf(p, strict=False)
 
     def cdf_right(self, p):
         """Pr[v <= p], a float for a float; 0 at every p < 0."""
-        x = np.asarray(p, dtype=np.float64)
-        f = np.where(x >= 0.0, 1.0 - self._survival(np.maximum(x, 0.0), strict=True), 0.0)
-        return float(f) if x.ndim == 0 else f
+        return self._cdf(p, strict=True)
 
     def revenue(self, p):
         """Expected payment p * Pr[v >= p] of posting price p, a float for a

@@ -38,10 +38,6 @@ class Sample:
             raise ValueError("valuations must be finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
     def to_csv(self, path) -> None:
         """Dump one value per line, full double precision (debugging aid)."""
         with open(path, "w") as fh:

@@ -2,10 +2,10 @@
 
 Reproducibility contract: trial t of a curve point at sample size n is driven
 by SeedSequence((base_seed, n, t)), whose two spawned children seed the
-trial's sample stream and its learner's stream, each a Generator over Philox
-(trial_streams).  The seeding is counter-based, so a trial's draws do not
-depend on how trials are scheduled across workers.  sample_stream and
-learner_stream build either stream alone, bit for bit.
+trial's sample stream and its learner's stream, each a Generator over Philox.
+The seeding is counter-based, so a trial's draws do not depend on how trials
+are scheduled across workers.  sample_stream and learner_stream build either
+stream alone, and trial_streams returns the pair.
 
 stream_keys derives many trials' Philox keys in one NumPy pass of
 SeedSequence's own mixing, bit for bit, and sample_streams sets one reused
@@ -18,16 +18,17 @@ less than half as long as a set from arrays.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _KEY_CHUNK = 1024  # trials keyed per stream_keys call
 
 
 def trial_streams(base_seed: int, n: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Independent (sample, learner) streams for one trial, from a counter-based key."""
-    seq = np.random.SeedSequence((base_seed, n, trial))
-    s1, s2 = seq.spawn(2)
-    return np.random.Generator(np.random.Philox(s1)), np.random.Generator(np.random.Philox(s2))
+    """Independent (sample, learner) streams for one trial, from a counter-based key:
+    SeedSequence((base_seed, n, trial)).spawn(2), whose child i has spawn_key (i,)."""
+    return sample_stream(base_seed, n, trial), learner_stream(base_seed, n, trial)
 
 
 def sample_stream(base_seed: int, n: int, trial: int) -> np.random.Generator:
@@ -57,7 +58,7 @@ _POOL = 4
 
 def _words(x: int) -> list[int]:
     """SeedSequence's split of a nonnegative int into 32-bit words, low first."""
-    x = int(x)
+    x = operator.index(x)  # refuses a float as SeedSequence does
     if x < 0:
         raise ValueError("expected non-negative integer")
     words = [x & _M32]

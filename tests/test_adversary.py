@@ -385,6 +385,11 @@ class TestVerifyGadget:
             # the sigma=-1 optimum sits at x on the right side, margin ~ 0
             assert mirrored.margin <= 1e-12
 
+    def test_unknown_sweep_side_refused(self):
+        gp = uniform_gadget(1.0, 0.5, 0.05)
+        with pytest.raises(ValueError, match="sweep_side"):
+            verify_gadget(gp, gadget_member(gp, -1), -1, sweep_side="middle")
+
     def test_structure_check_names_condition(self):
         gp = uniform_gadget(1.0, 0.5, 0.05)
         member = gadget_member(gp, -1)

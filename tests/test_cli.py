@@ -168,6 +168,26 @@ class TestCurveCommand:
         )
         assert code == 3 and "infeasible" in err
 
+    def test_two_point_solved_to_one_atom_exit_3(self, tmp_path, capsys):
+        # c = 0 solves q = 1, which leaves no mass on p_prime
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", "two_point:p=1,p_prime=3,c=0",
+             "--grid", "10,20", "--trials", "10", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3 and "q = 1.0" in err
+        assert not (tmp_path / "curve.json").exists()
+
+    @pytest.mark.parametrize("spec,named", [("capped:f=sqrt", "f=sqrt"), ("capped:g=cube", "cube"), ("cmd:", "command")])
+    def test_bad_learner_spec_exit_2(self, tmp_path, capsys, spec, named):
+        code, _, err = run_cli(
+            ["curve", "--learner", spec, "--dist", "uniform01", "--grid", "10,20", "--trials", "10",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and named in err
+        assert not (tmp_path / "curve.json").exists()
+
     def test_cmd_learner_keeps_quoted_arguments(self, tmp_path, capsys):
         # the command line is split as a shell would, so "print(1.5)" stays one argument
         spec = f'cmd:{shlex.quote(sys.executable)} -c "print(1.5)"'
@@ -225,6 +245,22 @@ class TestAdversaryCommand:
         val = json.loads((tmp_path / "validation.json").read_text())
         assert len(val["levels"]) == 3
         assert "level" in out
+
+    @pytest.mark.parametrize("phi,fn", [("pow:-1", lambda j: j**-1.0), ("const:0.5", lambda j: 0.5)])
+    def test_phi_spec_sets_the_envelope(self, tmp_path, capsys, phi, fn):
+        code, _, _ = run_cli(
+            ["adversary", "--learner", "erm", "--phi", phi, "--depth", "4", "--trials", "20", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        con = json.loads((tmp_path / "construction.json").read_text())
+        assert con["R"] == [min(fn(i) for i in range(1, j + 1)) for j in range(1, 5)]
+
+    def test_unknown_phi_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(["adversary", "--learner", "erm", "--phi", "bogus", "--depth", "4",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 2 and "bogus" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_constant_learner_meets_quarter_target_every_level(self, tmp_path, capsys):
         # a learner pinned at price 1 earns exactly 1/2, so its gap clears the
@@ -338,6 +374,12 @@ class TestCoinAndFit:
         fit = json.loads(out)
         assert fit["slope_or_rate"] == pytest.approx(-0.5, abs=1e-9)
 
+    def test_fit_on_a_csv_with_a_wrong_header_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text("n,gap\n10,0.5\n")
+        code, _, err = run_cli(["fit", "--csv", str(path)], capsys)
+        assert code == 2 and "header" in err
+
     def test_fit_insufficient_data_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.csv"
         with open(path, "w") as fh:
@@ -426,6 +468,10 @@ class TestZooCommand:
         assert code == 0
         names = out.strip().splitlines()
         assert "erm_hard" in names and "uniform01" in names
+
+    def test_unknown_action_exit_2(self, capsys):
+        code, out, err = run_cli(["zoo", "show"], capsys)
+        assert code == 2 and out == "" and "'show'" in err
 
 
 class TestConsoleEntryPoint:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import shlex
 import sys
@@ -9,6 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from revcurve import curves
 from revcurve.curves import (
     CurvePoint,
     GapUndefinedError,
@@ -191,6 +193,16 @@ class TestEstimateGap:
         assert len(pools) == 1 and pools[0].max_workers <= 3 and pools[0].started <= 3
         assert par == estimate_gap(make_erm(), d, n=20, trials=3, base_seed=4, workers=1)
 
+    @pytest.mark.parametrize("law", ["uniform01", "erm_hard"])  # the sample door and the count door
+    def test_spawned_pool_matches_in_process(self, monkeypatch, law):
+        # the start method every platform but Linux takes
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(curves, "get_context", lambda method: multiprocessing.get_context("spawn"))
+        d = zoo(law)
+        par = estimate_gap(make_erm(), d, n=64, trials=40, base_seed=5, workers=2)
+        assert pools[0].mp_context.get_start_method() == "spawn"
+        assert par == estimate_gap(make_erm(), d, n=64, trials=40, base_seed=5, workers=1)
+
     def test_pool_forks_on_linux(self, monkeypatch):
         pools = record_pools(monkeypatch)
         estimate_gap(make_erm(), two_point(1.0, 3.0, 2.0), n=20, trials=8, base_seed=1, workers=2)
@@ -369,11 +381,18 @@ class TestLearningCurve:
             ([0, 10], 10, "sample size 0 "),
             ([-1, 10], 10, "sample size -1 "),
             ([2.5, 10], 10, "sample size 2.5 "),
+            ([10, 100], 2.5, "trials"),
         ],
     )
     def test_inputs_validated(self, fn, grid, trials, match):
         with pytest.raises(ValueError, match=match):
             fn(make_erm(), zoo("uniform01"), grid, trials=trials, base_seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    @pytest.mark.parametrize("law", ["erm_hard", "uniform01"])  # the count door and the sample door
+    def test_seed_negative_or_not_an_integer_refused(self, law, seed):
+        with pytest.raises(ValueError, match=f"base seed {seed!r} "):
+            estimate_gap(make_erm(), zoo(law), n=64, trials=50, base_seed=seed)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_refused(self, workers):

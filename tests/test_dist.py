@@ -541,6 +541,10 @@ class TestSerialization:
         back = Distribution.from_json(d.to_json())
         assert back.optimal_revenue().value == pytest.approx(0.25, abs=1e-12)
 
+    def test_unknown_variant_refused(self):
+        with pytest.raises(ValueError, match="'mystery'"):
+            Distribution.from_dict({"variant": "mystery"})
+
     def test_to_dict_refuses_law_outside_zoo(self):
         exp10 = ContinuousDist(
             "exponential_mean_10",
@@ -613,6 +617,11 @@ class TestFinitePMFValidation:
     )
     def test_rejects_non_finite_atoms(self, values, masses):
         with pytest.raises(InfeasibleParametersError, match="finite"):
+            FinitePMF(values=np.array(values), masses=np.array(masses))
+
+    @pytest.mark.parametrize("values,masses", [([1.0, 2.0], [1.0]), ([1.0, 2.0, 3.0], [0.5, 0.0, 0.5])])
+    def test_rejects_mismatched_lengths_and_zero_mass(self, values, masses):
+        with pytest.raises(InfeasibleParametersError):
             FinitePMF(values=np.array(values), masses=np.array(masses))
 
     @pytest.mark.parametrize("spec", ["finite:nan@1", "finite:1@0.5,inf@0.5"])

@@ -77,6 +77,12 @@ class TestStreamKeys:
         with pytest.raises(ValueError):
             stream_keys(-1, 5, range(2))
 
+    def test_float_seed_refused_as_seed_sequence_does(self):
+        with pytest.raises(TypeError):
+            np.random.SeedSequence((1.5, 10, 0))
+        with pytest.raises(TypeError):
+            stream_keys(1.5, 10, [0])
+
     def test_reused_generator_is_a_fresh_sample_stream(self):
         # the state set per trial restarts the counter and empties the buffer,
         # even after the previous trial drew an odd number of 32-bit words; it
