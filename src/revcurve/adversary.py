@@ -517,7 +517,8 @@ def exp_lb_witness(
     rng: Optional[np.random.Generator] = None,
 ) -> list[WitnessPoint]:
     """For each n: estimate a_n on the all-p dataset and report which member of
-    the two-point pair witnesses the lower bound.
+    the two-point pair witnesses the lower bound.  A randomized learner is
+    probed `trials` times, a deterministic one once; trials must be >= 1 for both.
 
     a_n <= 1/2: the point mass at p already loses p/2.  Otherwise the mixed
     distribution loses q^n * (c-1) * p / 2 through the all-p sample event,

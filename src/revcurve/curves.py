@@ -218,7 +218,7 @@ def learning_curve(
             "to track revenue growth instead"
         )
     stats = expected_revenue_curve(learner, dist, grid, trials, base_seed, workers)
-    points = tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=int(trials)) for n, mean, se in stats)
+    points = tuple(CurvePoint(n=n, mean_gap=opt.value - mean, std_err=se, trials=trials) for n, mean, se in stats)
     return LearningCurve(learner.name, dist.label, points, base_seed)
 
 
@@ -239,9 +239,8 @@ def expected_revenue_curve(
     grid = [int(n) for n in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ValueError("sample-size grid must be nonempty and strictly increasing")
-    if not (trials >= 2 and trials % 1 == 0):
-        raise ValueError(f"trials {trials!r} is not a whole number >= 2 (a standard error needs 2 trials)")
-    trials = int(trials)
+    if not (isinstance(trials, numbers.Integral) and trials >= 2):
+        raise ValueError(f"trials {trials!r} is not an integer >= 2 (a standard error needs 2 trials)")
     if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
         raise ValueError(f"base seed {base_seed!r} is not an integer >= 0")
     if workers < 1:

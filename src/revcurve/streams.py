@@ -57,8 +57,9 @@ _POOL = 4
 
 
 def _words(x: int) -> list[int]:
-    """SeedSequence's split of a nonnegative int into 32-bit words, low first."""
-    x = operator.index(x)  # refuses a float as SeedSequence does
+    """SeedSequence's split of a nonnegative int into 32-bit words, low first;
+    it refuses what SeedSequence refuses, for direct callers of stream_keys."""
+    x = operator.index(x)
     if x < 0:
         raise ValueError("expected non-negative integer")
     words = [x & _M32]

@@ -285,11 +285,13 @@ class TestCountPath:
 
     @pytest.mark.parametrize("n,trial", [(1, 0), (64, 3), (4096, 999)])
     def test_sample_stream_is_trial_streams_first(self, n, trial):
-        a = sample_stream(2024, n, trial)
-        b = trial_streams(2024, n, trial)[0]
-        for word in ("key", "counter"):
-            assert np.array_equal(a.bit_generator.state["state"][word], b.bit_generator.state["state"][word])
-        assert np.array_equal(a.random(8), b.random(8))
+        # both against the contract's own construction: the first of two spawned children
+        first = np.random.SeedSequence((2024, n, trial)).spawn(2)[0]
+        for a in (sample_stream(2024, n, trial), trial_streams(2024, n, trial)[0]):
+            b = np.random.Generator(np.random.Philox(first))
+            for word in ("key", "counter"):
+                assert np.array_equal(a.bit_generator.state["state"][word], b.bit_generator.state["state"][word])
+            assert np.array_equal(a.random(8), b.random(8))
 
     def test_path_depends_only_on_count_form_table_and_k(self):
         counts_only = Learner(name="counts only", decide=_refuse_samples, decide_counts=make_constant(1.0).decide_counts)
@@ -382,6 +384,7 @@ class TestLearningCurve:
             ([-1, 10], 10, "sample size -1 "),
             ([2.5, 10], 10, "sample size 2.5 "),
             ([10, 100], 2.5, "trials"),
+            ([10, 100], 4.0, "trials 4.0 "),
         ],
     )
     def test_inputs_validated(self, fn, grid, trials, match):

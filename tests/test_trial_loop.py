@@ -8,6 +8,7 @@ Where that loop drew a sample (n < K <= 128), the batched loop tallies the
 same draws into count rows, so the bits must still be equal.
 """
 
+import itertools
 import pickle
 
 import numpy as np
@@ -30,15 +31,22 @@ def reference_trial_revenues(learner, dist, n, trial_range, base_seed):
     table = dist.atom_table
     if learner.decide_counts is not None and table is not None and table.values.size <= n:
         for i, t in enumerate(trial_range):
-            counts = table.draw_counts(sample_stream(base_seed, n, t), n)
+            counts = table.draw_counts(spawned_streams(base_seed, n, t)[0], n)
             revs[i] = dist.revenue(float(learner.decide_counts(table.values, counts, n)))
         return revs
     for i, t in enumerate(trial_range):
-        sample_rng, learner_rng = trial_streams(base_seed, n, t)
+        sample_rng, learner_rng = spawned_streams(base_seed, n, t)
         s = dist.sample(sample_rng, n)
         price = learner.decide(s.values, n, learner_rng)
         revs[i] = dist.revenue(float(price))
     return revs
+
+
+def spawned_streams(base_seed, n, trial):
+    """A trial's (sample, learner) streams as the contract states them: the two
+    spawned children of SeedSequence((base_seed, n, trial)), each over Philox."""
+    s1, s2 = np.random.SeedSequence((base_seed, n, trial)).spawn(2)
+    return np.random.Generator(np.random.Philox(s1)), np.random.Generator(np.random.Philox(s2))
 
 
 def reference_keys(base_seed, n, trials, spawn):
@@ -68,10 +76,10 @@ class TestStreamKeys:
         assert np.array_equal(keys, reference_keys(base_seed, n, trials, spawn))
 
     def test_keys_of_trial_streams(self):
-        for spawn in (0, 1):
+        for streams_of, spawn in itertools.product((trial_streams, spawned_streams), (0, 1)):
             keys = stream_keys(2024, 64, range(3, 9), spawn)
             for t, key in zip(range(3, 9), keys):
-                assert np.array_equal(trial_streams(2024, 64, t)[spawn].bit_generator.state["state"]["key"], key)
+                assert np.array_equal(streams_of(2024, 64, t)[spawn].bit_generator.state["state"]["key"], key)
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError):
