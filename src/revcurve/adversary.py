@@ -402,18 +402,17 @@ class GadgetReport:
     worst_price: float  # the swept price attaining the minimum margin
 
 
-_GADGET_GRID_POINTS = 20_001  # uniform prices in verify_gadget's sweep
-
-
 def verify_gadget(gp: GadgetParams, dist: Distribution, sigma: int, sweep_side: Optional[str] = None) -> GadgetReport:
     """Check family membership, then sweep the claimed-bad side of the midpoint.
 
-    Membership (the three mass conditions) is checked against sigma.  The sweep
-    covers the side's atoms, the midpoint, and a uniform grid; it returns the
-    minimum margin max_t rev - rev(t') and whether it clears gamma/4.
+    Membership (the three mass conditions) is checked against sigma.  The sweep prices
+    the side's atoms and the midpoint, exact on finite support (ValueError on any other
+    law); it returns the minimum margin max_t rev - rev(t') and whether it clears gamma/4.
     `sweep_side` ("low"/"high") overrides the side implied by sigma, which is
     how the deliberate wrong-side test is run.
     """
+    if not isinstance(dist.variant, FinitePMF):
+        raise ValueError("verify_gadget's sweep is exact only on finite support")
     g2 = gp.gamma**2
     top = dist.survival_strict(gp.x - g2)  # D((x - gamma^2, 1])
     if not (gp.q - 1e-12 <= top <= gp.q + g2 + 1e-12):
@@ -428,17 +427,13 @@ def verify_gadget(gp: GadgetParams, dist: Distribution, sigma: int, sweep_side: 
     if dead > 1e-12:
         raise GadgetStructureError(f"condition 3 violated: D([x_pq+gamma^2, x-gamma^2]) = {dead!r} != 0")
 
-    atoms = dist.candidate_points()
     opt = dist.optimal_revenue().value
     side = sweep_side or ("low" if sigma == -1 else "high")
-    if side == "low":
-        grid = np.linspace(0.0, gp.midpoint, _GADGET_GRID_POINTS)
-        cand = np.concatenate([grid, atoms[atoms <= gp.midpoint], [gp.midpoint]])
-    elif side == "high":
-        grid = np.linspace(gp.midpoint, 1.0, _GADGET_GRID_POINTS)
-        cand = np.concatenate([grid, atoms[atoms >= gp.midpoint], [gp.midpoint]])
-    else:
+    if side not in ("low", "high"):
         raise ValueError("sweep_side must be 'low' or 'high'")
+    atoms = dist.variant.values
+    # on (v_i, v_{i+1}] revenue is p * Pr[v >= v_{i+1}], which rises with p: atoms and midpoint hold the max
+    cand = np.append(atoms[(atoms <= gp.midpoint) if side == "low" else (atoms >= gp.midpoint)], gp.midpoint)
     revs = dist.revenue(cand)
     worst = int(np.argmax(revs))
     margin = opt - float(revs[worst])

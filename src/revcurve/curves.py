@@ -393,8 +393,6 @@ def delta_eps(dist: Distribution, eps: float) -> float:
             if ts >= hi:  # piece sits below ts
                 m = pmf.survival(hi) - pmf.survival(ts)  # mass of [t, ts) for t in (lo, hi)
                 lines += [(-1.0, ts), (m, 0.0)]
-                if 1.0 + m > 0:
-                    cands.add(ts / (1.0 + m))
             elif ts <= lo:  # piece sits above ts
                 c = ts * (pmf.survival(ts) - pmf.survival(lo, strict=True))
                 lines += [(1.0, -ts), (0.0, c)]

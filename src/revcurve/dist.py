@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -163,7 +163,6 @@ class TailRuleDist:
     survival_fn: Callable[[int], float]
     truncation_depth: int
     revenue_limit: Optional[float] = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         depth = self.truncation_depth
@@ -251,7 +250,6 @@ class ContinuousDist:
     quantile_fn: Callable
     support_upper: Optional[float] = None
     revenue_sup: Optional[float] = None
-    params: dict = field(default_factory=dict)
 
     def survival(self, p, strict: bool = False):
         return 1.0 - np.asarray(self.cdf_fn(p), dtype=np.float64)
@@ -395,22 +393,27 @@ class Distribution:
             }
         if v.rule_name not in _ZOO:
             raise ValueError(f"{self.label}: rule {v.rule_name!r} is not in the zoo, so from_dict could not rebuild it")
-        doc = {"label": self.label, "variant": "continuous", "rule_name": v.rule_name, "params": dict(v.params)}
+        doc = {"label": self.label, "variant": "continuous", "rule_name": v.rule_name, "params": {}}
         if isinstance(v, TailRuleDist):
             doc.update(variant="tail_rule", truncation_depth=v.truncation_depth)
         return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "Distribution":
-        variant = doc["variant"]
+        def need(key: str):
+            if not (isinstance(doc, dict) and key in doc):
+                raise ValueError(f"distribution document has no {key!r} key")
+            return doc[key]
+
+        variant = need("variant")
         if variant == "finite_pmf":
-            return zoo("finite", points=doc["atoms"], label=doc.get("label", "finite_pmf"))
+            return zoo("finite", points=need("atoms"), label=doc.get("label", "finite_pmf"))
         if variant not in ("tail_rule", "continuous"):
             raise ValueError(f"unknown distribution variant {variant!r}")
         params = dict(doc.get("params", {}))
         if variant == "tail_rule" and doc.get("truncation_depth") is not None:
             params["truncation_depth"] = doc["truncation_depth"]
-        return zoo(doc["rule_name"], **params)
+        return zoo(need("rule_name"), **params)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -114,6 +114,10 @@ class Learner:
     config: Optional[GrowthFns] = None
     decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
 
+    def __post_init__(self):
+        if self.decide_counts is not None and not self.deterministic:
+            raise ValueError(f"learner {self.name!r}: a count form declares the rule deterministic, not deterministic=False")
+
     def _value(self) -> tuple:
         # Python compares a bound method's __self__ by identity; compare it by
         # value, so equal rules, pickled or not, make equal learners

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -14,13 +15,14 @@ from revcurve.adversary import (
     coin_game,
     exp_lb_witness,
     gadget_member,
+    GadgetParams,
     GadgetStructureError,
     monotone_envelope,
     uniform_gadget,
     validate_slow_rate,
     verify_gadget,
 )
-from revcurve.dist import InfeasibleParametersError
+from revcurve.dist import Distribution, FinitePMF, InfeasibleParametersError, zoo
 from revcurve.learners import (
     Learner,
     make_capped,
@@ -97,6 +99,10 @@ class TestMonotoneEnvelope:
         with pytest.raises(ValueError):
             monotone_envelope(lambda j: 1.5, 2)
 
+    def test_horizon_below_one_refused(self):
+        with pytest.raises(ValueError, match="horizon"):
+            monotone_envelope(lambda j: 1.0, 0)
+
 
 class TestBoundLearnerOutput:
     def test_deterministic_exact(self):
@@ -123,6 +129,13 @@ class TestBoundLearnerOutput:
         with pytest.raises(ValueError):
             bound_learner_output(coin, np.array([1.0]), 0.25, trials=10)
 
+    @pytest.mark.parametrize("mass,trials,msg", [
+        (0.0, 10, "confidence_mass"), (1.0, 10, "confidence_mass"), (0.25, 0, "probe trials"),
+    ])
+    def test_arguments_refused(self, mass, trials, msg):
+        with pytest.raises(ValueError, match=msg):
+            bound_learner_output(make_erm(), np.array([1.0]), mass, trials=trials)
+
 
 class TestSlowRateConstruction:
     def test_erm_depth5_hand_values(self):
@@ -142,6 +155,17 @@ class TestSlowRateConstruction:
         pmf = dist.variant
         assert np.all(pmf.masses > 0)
         assert pmf.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("field,edit,named", [
+        ("points", lambda v: (v[0], 0.0) + v[2:], "ordering"),
+        ("tails", lambda v: (v[0], v[0]) + v[2:], "tail cap"),
+        ("points", lambda v: v[:-1] + (v[-1] + 1.0,), "revenue identity"),
+    ])
+    def test_broken_transcript_named(self, field, edit, named):
+        _, con = build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth=5)
+        broken = dataclasses.replace(con, **{field: edit(getattr(con, field))})
+        with pytest.raises(AssertionError, match=named):
+            broken.check_invariants()
 
     def test_truncated_revenue_identity_every_level(self):
         # lumping the tail onto the last atom preserves rev(i_j) = 2 - R(j-1)
@@ -191,6 +215,12 @@ class TestSlowRateConstruction:
         )
         con.check_invariants()
         assert any(level["sampled"] for level in con.probe_stats["levels"])
+
+    def test_sampled_probing_needs_rng(self):
+        with pytest.raises(ValueError, match="needs an rng"):
+            build_slow_rate_distribution(
+                make_erm(), lambda j: 1.0 / j, depth=5, probe=ProbeConfig(max_datasets_per_level=10, allow_sampling=True)
+            )
 
     def test_depth_validated(self):
         with pytest.raises(ValueError):
@@ -338,6 +368,15 @@ class TestUniformGadget:
         with pytest.raises(InfeasibleParametersError):
             uniform_gadget(1.0, 0.5, 0.05, 0.04)  # gamma fails smallness
 
+    @pytest.mark.parametrize("x,q,p,gamma,named", [
+        (1.0, 0.5, 0.0, None, "p = 0.0"),
+        (1.0, 0.5, 0.05, 0.0, "gamma must be positive"),
+        (1.0, 0.9, 0.1, None, "anchor mass"),  # default gamma 0.002 tips q + p + gamma past 1
+    ])
+    def test_refusals_named(self, x, q, p, gamma, named):
+        with pytest.raises(InfeasibleParametersError, match=named):
+            uniform_gadget(x, q, p, gamma)
+
 
 class TestGadgetMember:
     def test_mass_conditions(self):
@@ -358,6 +397,18 @@ class TestGadgetMember:
         gp = uniform_gadget(1.0, 0.5, 0.05)
         with pytest.raises(ValueError):
             gadget_member(gp, 0)
+
+    # hand-built geometry that uniform_gadget would never return, one per check
+    @pytest.mark.parametrize("x,q,p,gamma,x_pq,sigma,named", [
+        (1.0, 0.5, 0.01, 0.02, 0.98, -1, "nonpositive atom mass"),  # p - gamma < 0
+        (1.0, 0.1, 0.05, 0.8, 0.6, 1, "anchor price collides"),  # x_pq/2 >= x_pq - gamma^2
+        (1.0, 0.05, 0.1, 0.01, 0.9, 1, "transported optimum leaves"),  # rev(x) = 0.05 < rev(anchor)
+        (1.0, 0.3, 0.1, 0.01, 0.6, 1, "restricted transported optimum"),  # rev(edge) < rev(anchor) < rev(x)
+    ])
+    def test_infeasible_geometry_named(self, x, q, p, gamma, x_pq, sigma, named):
+        gp = GadgetParams(x=x, q=q, p=p, gamma=gamma, x_pq=x_pq, midpoint=(x_pq + x) / 2.0)
+        with pytest.raises(InfeasibleParametersError, match=named):
+            gadget_member(gp, sigma)
 
 
 class TestVerifyGadget:
@@ -396,6 +447,24 @@ class TestVerifyGadget:
         with pytest.raises(GadgetStructureError, match="condition 2"):
             verify_gadget(gp, member, +1)  # sigma=-1 mass cannot satisfy the +1 bracket
 
+    def test_top_and_dead_zone_conditions_named(self):
+        gp = uniform_gadget(1.0, 0.5, 0.05)
+        with pytest.raises(GadgetStructureError, match="condition 1"):
+            verify_gadget(gp, gadget_member(uniform_gadget(1.0, 0.6, 0.05), -1), -1)  # mass 0.6 at x
+        member = gadget_member(gp, -1).variant
+        # move 0.01 of the anchor's mass into the dead zone at the midpoint
+        dead = FinitePMF(
+            values=np.insert(member.values, 2, gp.midpoint),
+            masses=np.insert(member.masses - [0.01, 0.0, 0.0], 2, 0.01),
+        )
+        with pytest.raises(GadgetStructureError, match="condition 3"):
+            verify_gadget(gp, Distribution(label="dead", variant=dead), -1)
+
+    def test_law_without_finite_support_refused(self):
+        gp = uniform_gadget(1.0, 0.5, 0.05)
+        with pytest.raises(ValueError, match="finite support"):
+            verify_gadget(gp, zoo("uniform01"), -1)
+
     def test_known_margin_value(self):
         # sigma=-1: best bad-side price is x_pq itself with margin gamma * x_pq
         gp = uniform_gadget(1.0, 0.5, 0.05, 0.001)
@@ -427,6 +496,10 @@ class TestCoinGame:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             coin_game(p=0.01, gamma=0.02, c=1.0, trials=10, rng=philox(45))
+
+    def test_zero_c_refused(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            coin_game(p=0.01, gamma=0.001, c=0.0, trials=10, rng=philox(46))
 
 
 class TestExpLbWitness:

@@ -212,6 +212,25 @@ class TestCurveCommand:
         assert not (tmp_path / "curve.json").exists()
 
 
+    @pytest.mark.parametrize("doc,key", [({"variant": "tail_rule"}, "'rule_name'"), ({"label": "x"}, "'variant'")])
+    def test_dist_document_missing_key_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", str(path), "--grid", "10,20", "--trials", "10", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and f"no {key} key" in err
+        assert not out.exists()
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run_cli(["curve", "--config", str(tmp_path / "absent.json"), "--out", str(out)], capsys)
+        assert code == 2 and "cannot read config" in err and "absent.json" in err
+        assert not out.exists()
+
+
 class TestSeedPrecedence:
     def test_env_var_overrides_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REVCURVE_SEED", "12345")
@@ -224,6 +243,28 @@ class TestSeedPrecedence:
         run_cli(["curve", "--learner", "erm", "--dist", "uniform01", "--grid", "20,40",
                  "--trials", "20", "--seed", "9", "--out", str(tmp_path)], capsys)
         assert LearningCurve.from_csv(tmp_path / "curve.csv").base_seed == 9
+
+
+    SEEDED = {
+        "adversary": ["adversary", "--learner", "erm", "--depth", "3", "--trials", "10"],
+        "gadget": ["gadget", "--x", "1.0", "--q", "0.5", "--p", "0.05", "--trials", "10"],
+        "coin": ["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--trials", "10"],
+    }
+
+    @pytest.mark.parametrize("command", SEEDED)
+    @pytest.mark.parametrize("flag,env,source", [
+        ("-1", None, "--seed"), (None, "-4", "REVCURVE_SEED"), (None, "abc", "REVCURVE_SEED"),
+    ])
+    def test_bad_seed_named_exit_2(self, command, flag, env, source, tmp_path, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("REVCURVE_SEED", env)
+        args = self.SEEDED[command] + (["--seed", flag] if flag is not None else [])
+        if command != "coin":
+            args += ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert f"seed {flag or env!r} from {source}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAdversaryCommand:

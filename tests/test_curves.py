@@ -522,6 +522,14 @@ class TestTEps:
         with pytest.raises(ValueError):
             t_eps(zoo("finite", points=[(1.0, 1.0)]), 1.0)
 
+    @pytest.mark.parametrize("dist,eps,msg", [
+        (zoo("uniform01"), 0.1, "finite support"),
+        (zoo("finite", points=[(1.0, 1.0)]), -0.1, "eps must be nonnegative"),
+    ], ids=["uniform01", "negative_eps"])
+    def test_refused(self, dist, eps, msg):
+        with pytest.raises(ValueError, match=msg):
+            t_eps(dist, eps)
+
 
 FIVE_PMFS = [
     ("two_point(1,3,2)", lambda: two_point(1.0, 3.0, 2.0)),

@@ -545,6 +545,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'mystery'"):
             Distribution.from_dict({"variant": "mystery"})
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"label": "x"}, "variant"),
+        (5, "variant"),
+        ({"variant": "finite_pmf"}, "atoms"),
+        ({"variant": "tail_rule"}, "rule_name"),
+        ({"variant": "continuous", "params": {}}, "rule_name"),
+    ])
+    def test_missing_key_named(self, doc, key):
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            Distribution.from_dict(doc)
+
     def test_to_dict_refuses_law_outside_zoo(self):
         exp10 = ContinuousDist(
             "exponential_mean_10",

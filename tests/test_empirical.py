@@ -34,6 +34,10 @@ class TestEmpiricalDist:
         with pytest.raises(ValueError):
             Sample(np.array([-1.0, 2.0]))
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Sample(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError):

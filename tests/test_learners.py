@@ -168,6 +168,11 @@ class TestCountFormMatchesSampleForm:
         assert parse_learner("cmd:cat").decide_counts is None
         assert Learner(name="mine", decide=lambda values, n, rng: 1.0).decide_counts is None
 
+    def test_count_form_refuses_randomized_flag(self):
+        rule = parse_learner("erm")
+        with pytest.raises(ValueError, match="'r'.*deterministic=False"):
+            Learner("r", decide=rule.decide, decide_counts=rule.decide_counts, deterministic=False)
+
 
 class TestErm:
     def test_prefers_higher_revenue(self):
