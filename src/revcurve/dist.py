@@ -20,6 +20,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -166,6 +167,8 @@ class TailRuleDist:
 
     def __post_init__(self):
         depth = self.truncation_depth
+        if not isinstance(depth, numbers.Integral) or isinstance(depth, bool):
+            raise ValueError(f"{self.rule_name}: truncation_depth must be an integer, got {depth!r}")
         if depth < 0:
             raise InfeasibleParametersError(f"{self.rule_name}: truncation_depth {depth!r} is below 0")
         try:  # value_fn increases, so value_fn(depth + 1) is the table's largest atom
@@ -400,20 +403,31 @@ class Distribution:
 
     @staticmethod
     def from_dict(doc: dict) -> "Distribution":
-        def need(key: str):
+        def typed(key: str, value, ok: Callable[[object], bool], kind: str):
+            if not ok(value):
+                raise ValueError(f"distribution document key {key!r} must be {kind}, got {value!r}")
+            return value
+
+        def need(key: str, ok: Callable[[object], bool] = lambda v: True, kind: str = ""):
             if not (isinstance(doc, dict) and key in doc):
                 raise ValueError(f"distribution document has no {key!r} key")
-            return doc[key]
+            return typed(key, doc[key], ok, kind)
+
+        def pair(a) -> bool:
+            return isinstance(a, list) and len(a) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in a
+            )
 
         variant = need("variant")
         if variant == "finite_pmf":
-            return zoo("finite", points=need("atoms"), label=doc.get("label", "finite_pmf"))
+            atoms = need("atoms", lambda v: isinstance(v, list) and all(map(pair, v)), "a list of [value, mass] pairs")
+            return zoo("finite", points=atoms, label=doc.get("label", "finite_pmf"))
         if variant not in ("tail_rule", "continuous"):
             raise ValueError(f"unknown distribution variant {variant!r}")
-        params = dict(doc.get("params", {}))
+        params = dict(typed("params", doc.get("params", {}), lambda v: isinstance(v, dict), "an object"))
         if variant == "tail_rule" and doc.get("truncation_depth") is not None:
             params["truncation_depth"] = doc["truncation_depth"]
-        return zoo(need("rule_name"), **params)
+        return zoo(need("rule_name", lambda v: isinstance(v, str), "a string"), **params)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -4,10 +4,16 @@ revenue maximization, all exposed through one Learner record.
 All four read the sample through one revenue kernel: ascending values u with
 their empirical revenues u * left / n, where left[j] counts the sample values
 >= u[j].  The rules work row by row along the last axis.  There are two front
-doors onto them: a sorted sample of size m is one row as it is, its values
-with left[i] = m - i (read-only, cached for the latest m), and count vectors c
+doors onto them: a sorted sample of size m is one row, its values with
+left[i] = m - i (read-only, cached for the latest m), and count vectors c
 over ascending atoms give a row per vector, left = m - (cumsum(c) - c), with
-the undrawn atoms masked out.  In a sorted sample a later copy of a value
+the undrawn atoms masked out.  The sorted door prices only a window of its
+row.  Cut into blocks, the row bounds every revenue in a block by the revenue
+of the block's last value at the block's first left count, because rounded
+multiply and divide are monotone, and the exact revenues at block ends bound
+the best revenue from below.  The window keeps every block whose bound can
+reach what the rule picks, so the kernel picks the same value from it as from
+the whole row, bit for bit.  In a sorted sample a later copy of a value
 never scores above its first copy (same value, fewer values left, and float
 multiply and divide are monotone), so every rule below picks a first copy,
 and both doors price the same multiset with the same float expression, bit
@@ -207,9 +213,18 @@ def _erm_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray]
     return values[np.argmax(rev, axis=-1)]  # argmax returns the first maximum
 
 
-def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
+def _check_cap(cap: float) -> None:
     if not 0.0 < cap < math.inf:
         raise ValueError(f"growth function must be positive and finite at n, got {cap!r}")
+
+
+def _check_scale(fn: float) -> None:
+    if not 0.0 <= fn < math.inf:
+        raise ValueError(f"confidence scale must be nonnegative and finite at n, got {fn!r}")
+
+
+def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
+    _check_cap(cap)
     k = int(np.searchsorted(values, cap, side="right"))
     at_cap = int(np.searchsorted(values, cap, side="left"))  # first value >= cap, drawn or not
     count_geq = left[..., at_cap] if at_cap < values.size else np.zeros_like(left[..., 0])
@@ -223,8 +238,7 @@ def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarr
 
 
 def _structural_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, fn: float):
-    if not 0.0 <= fn < math.inf:
-        raise ValueError(f"confidence scale must be nonnegative and finite at n, got {fn!r}")
+    _check_scale(fn)
     rev = _revenues(values, left, m)
     # handicap[j] = max over drawn values up to j of rev + u*f(n); value j wins
     # iff its revenue clears the handicap before it plus its own u_j*f(n).  The
@@ -238,6 +252,84 @@ def _structural_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.n
     if drawn is not None:
         wins &= drawn
     return values[values.size - 1 - np.argmax(wins[..., ::-1], axis=-1)]
+
+
+# -- the sorted door's window --------------------------------------------------
+#
+# The first k values of a sorted row are cut into blocks of _BLOCK that end at
+# index k - 1; the first block may be shorter.  In a block from index s to
+# index e every revenue is at most _revenues(u[e], m - s, m): u rises, left
+# falls, and rounded multiply and divide are monotone.  Each window below holds
+# every value its rule can pick, so the row kernel prices it to the bits of the
+# whole row.  The windows count left[i] = m - i rather than read it, as a
+# strided read of left costs more than the arithmetic; the block bounds count
+# it in floats, which hold it exactly, to spare NumPy's cast of an int array.
+
+_BLOCK = 256  # sorted values per block; no price depends on it
+_MIN_BLOCKS = 32  # rows of at most this many blocks are priced whole: bounding them costs more than it saves
+
+
+def _block_bounds(u: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of the first k sorted values: the revenue at its end, and a
+    bound on every revenue in it."""
+    end = (k - 1) % _BLOCK  # of the first block
+    at_end = np.arange(float(m - end), m - k, -_BLOCK)
+    ends = u[end:k:_BLOCK]
+    # left at a block's start is at most left at its end + _BLOCK - 1
+    return _revenues(ends, at_end, m), _revenues(ends, at_end + (_BLOCK - 1), m)
+
+
+def _erm_span(u: np.ndarray, m: int, k: int) -> slice:
+    """The span of blocks of the first k sorted values whose bound reaches the
+    best block-end revenue: no value before it reaches the maximum, so it
+    holds the first maximiser."""
+    at_end, upper = _block_bounds(u, m, k)
+    keep = upper >= at_end.max()
+    first, last = int(keep.argmax()), keep.size - 1 - int(keep[::-1].argmax())
+    end = (k - 1) % _BLOCK  # of the first block
+    return slice(max(end + 1 + (first - 1) * _BLOCK, 0), end + 1 + last * _BLOCK)
+
+
+def _capped_window(u: np.ndarray, m: int, cap: float) -> slice:
+    """ERM's span below the cap, stretched to the first value >= cap, whose left
+    count the kernel reads as the cap's own."""
+    _check_cap(cap)
+    k, at_cap = int(u.searchsorted(cap, "right")), int(u.searchsorted(cap, "left"))
+    span = _erm_span(u, m, k) if k else slice(0, 0)
+    if at_cap == m:
+        return span
+    return slice(min(span.start, at_cap), max(span.stop, at_cap + 1))
+
+
+def _structural_end(u: np.ndarray, m: int, fn: float) -> int:
+    """Length of the sorted prefix that holds every winner of the structural scan.
+
+    Value j > 0 wins only if rev[j] > fl(H + margin[j]), where H, the running
+    maximum of rev + margin before j, is at least lb, the largest rev + margin
+    at the ends of earlier blocks; so j must pass rev[j] > fl(lb + margin[j]).
+    A later block can hold such a value only if its bound beats lb plus the
+    margin at the end of the block before it, which is at most margin[j].
+    Those blocks are tested from the end, 1, 2, 4, ... at a time, so a late
+    winner costs one block.  Every value of the first block passes, as no
+    block precedes it.
+    """
+    _check_scale(fn)
+    end = (m - 1) % _BLOCK  # of the first block
+    at_end, upper = _block_bounds(u, m, m)
+    margin = u[end::_BLOCK] * fn
+    lb = np.maximum.accumulate(at_end + margin)
+    candidates = np.flatnonzero(upper[1:] > lb[:-1] + margin[:-1])
+    size = 1
+    while candidates.size:
+        candidates, chunk = candidates[:-size], candidates[-size:]
+        # block chunk + 1 holds the indices after the end of block chunk
+        j = chunk[:, None] * _BLOCK + (end + 1) + np.arange(_BLOCK)
+        v = u[j]
+        passing = np.flatnonzero(_revenues(v, m - j, m) > lb[chunk, None] + v * fn)
+        if passing.size:
+            return int(j.flat[passing[-1]]) + 1
+        size *= 2
+    return end + 1
 
 
 # -- learner records ---------------------------------------------------------
@@ -259,7 +351,16 @@ class _Rule:
         return _erm_price(values, left, drawn, m)
 
     def on_sorted(self, e: EmpiricalDist, n: int) -> float:
-        return float(self.price(e.sorted_values, _left(e.n), None, e.n, n))
+        u, m = e.sorted_values, e.n
+        if m <= _MIN_BLOCKS * _BLOCK:
+            window = slice(None)
+        elif self.scale is not None:
+            window = slice(0, _structural_end(u, m, self.scale(n)))
+        elif self.cap is not None:
+            window = _capped_window(u, m, self.cap(n))
+        else:
+            window = _erm_span(u, m, m)
+        return float(self.price(u[window], _left(m)[window], None, m, n))
 
     def decide(self, values, n, rng):
         return self.on_sorted(EmpiricalDist.from_values(values), n)

@@ -224,6 +224,23 @@ class TestCurveCommand:
         assert code == 2 and f"no {key} key" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"variant": "finite_pmf", "atoms": 5}, "key 'atoms' must be a list of [value, mass] pairs, got 5"),
+        ({"variant": "continuous", "rule_name": "uniform01", "params": 3}, "key 'params' must be an object, got 3"),
+        ({"variant": "tail_rule", "rule_name": "erm_hard", "truncation_depth": "x"},
+         "truncation_depth must be an integer, got 'x'"),
+    ])
+    def test_dist_document_mistyped_key_exit_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", str(path), "--grid", "10,20", "--trials", "10", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and message in err
+        assert not out.exists()
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, err = run_cli(["curve", "--config", str(tmp_path / "absent.json"), "--out", str(out)], capsys)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import zlib
 
 import numpy as np
@@ -555,6 +556,25 @@ class TestSerialization:
     def test_missing_key_named(self, doc, key):
         with pytest.raises(ValueError, match=f"no '{key}' key"):
             Distribution.from_dict(doc)
+
+    @pytest.mark.parametrize("doc,key,kind", [
+        ({"variant": "finite_pmf", "atoms": 5}, "atoms", "a list of [value, mass] pairs"),
+        ({"variant": "finite_pmf", "atoms": [[1.0, 0.5], [2.0, None]]}, "atoms", "a list of [value, mass] pairs"),
+        ({"variant": "finite_pmf", "atoms": [[1.0, 0.5, 3.0]]}, "atoms", "a list of [value, mass] pairs"),
+        ({"variant": "continuous", "rule_name": "uniform01", "params": 3}, "params", "an object"),
+        ({"variant": "continuous", "rule_name": ["uniform01"]}, "rule_name", "a string"),
+    ])
+    def test_mistyped_key_named(self, doc, key, kind):
+        with pytest.raises(ValueError, match=re.escape(f"key '{key}' must be {kind}, got ")):
+            Distribution.from_dict(doc)
+
+    @pytest.mark.parametrize("depth", ["x", True, 12.5, 12.0, None])
+    def test_non_integer_truncation_depth_refused(self, depth):
+        with pytest.raises(ValueError, match=re.escape(f"erm_hard: truncation_depth must be an integer, got {depth!r}")):
+            zoo("erm_hard", truncation_depth=depth)
+        if depth is not None:  # a document's null depth means the law's default
+            with pytest.raises(ValueError, match="truncation_depth must be an integer"):
+                Distribution.from_dict({"variant": "tail_rule", "rule_name": "erm_hard", "truncation_depth": depth})
 
     def test_to_dict_refuses_law_outside_zoo(self):
         exp10 = ContinuousDist(

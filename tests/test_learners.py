@@ -408,8 +408,8 @@ def large_tie_heavy_sample(draw):
 
 
 class TestSortedSampleDoor:
-    """The rules price the sorted sample as it is, every copy of every value
-    included, with left[i] = m - i from one cached read-only array."""
+    """The rules price a window of the sorted sample, every copy of every value
+    in it included, with left[i] = m - i from one cached read-only array."""
 
     @settings(max_examples=200, deadline=None)
     @given(large_tie_heavy_sample(), st.integers(1, 10**6), st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.3, 1.0]))
@@ -425,6 +425,92 @@ class TestSortedSampleDoor:
         assert learners._left(emp.n) is left
         assert np.array_equal(left, before) and np.array_equal(left, emp.n - np.arange(emp.n))
         assert not left.flags.writeable
+
+
+def window_row(kind: str, m: int, seed: int) -> np.ndarray:
+    """A sorted sample of size m: continuous, tie-heavy, zero-heavy, Pareto or powers of two."""
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        v = rng.random(m)
+    elif kind == "ties":
+        v = rng.integers(0, 6, m) * 0.1
+    elif kind == "zeros":
+        v = np.where(rng.random(m) < 0.6, 0.0, rng.random(m))
+    elif kind == "pareto":
+        v = 1.0 / (1.0 - rng.random(m))
+    else:
+        v = 2.0 ** rng.integers(0, 12, m)
+    return np.sort(v)
+
+
+def window_caps(u: np.ndarray) -> list[float]:
+    """Caps at a sample value, between two values, below the minimum and above the maximum."""
+    caps = [float(u[u.size // 2]), float(u[-1]) * 2.0 + 1.0]
+    above = u[u > u[u.size // 3]]
+    if above.size:
+        caps.append((float(u[u.size // 3]) + float(above[0])) / 2.0)
+    if u[0] > 0.0:
+        caps.append(float(u[0]) / 2.0)
+    return [c for c in caps if c > 0.0]
+
+
+def window_rules(u: np.ndarray, n: int) -> list:
+    rules = [learners._Rule(), learners._Rule(cap=learners._g_log)]
+    rules += [learners._Rule(cap=lambda m, c=c: c) for c in window_caps(u)]
+    return rules + [learners._Rule(scale=lambda m, f=f: f) for f in (0.0, n**-0.25, 1.0)]
+
+
+def assert_window_exact(u: np.ndarray, n: int):
+    m = u.size
+    e = EmpiricalDist(u, m)
+    for rule in window_rules(u, n):
+        full = float(rule.price(u, learners._left(m), None, m, n))
+        assert rule.on_sorted(e, n) == full, (rule, m, n)
+
+
+class TestSortedDoorWindow:
+    """The sorted door prices a window that block bounds prove holds the price;
+    the full-row kernel is the oracle, for every block size."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, learners._BLOCK])
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "zeros", "pareto", "pow2"])
+    def test_window_prices_equal_full_row(self, monkeypatch, block, kind):
+        monkeypatch.setattr(learners, "_BLOCK", block)
+        monkeypatch.setattr(learners, "_MIN_BLOCKS", 0)  # window every row
+        sizes = {1, block - 1, block, block + 1, 3 * block - 1, 3 * block + 1, 10 * block - 1, 10 * block + 1, 1000}
+        for seed, m in enumerate(sorted(s for s in sizes if s >= 1)):
+            u = window_row(kind, m, seed)
+            for n in (m, 7 * m + 3):
+                assert_window_exact(u, n)
+
+    @pytest.mark.parametrize("block", [1, 3, learners._BLOCK])
+    def test_all_equal_and_two_point_rows(self, monkeypatch, block):
+        monkeypatch.setattr(learners, "_BLOCK", block)
+        monkeypatch.setattr(learners, "_MIN_BLOCKS", 0)
+        for m in (1, 2, block, 4 * block + 1, 600):
+            assert_window_exact(np.full(m, 0.5), m)
+            assert_window_exact(np.full(m, 0.0), m)
+            assert_window_exact(np.sort(np.where(np.arange(m) % 3 == 0, 1.0, 3.0)), m)
+
+    def test_first_maximiser_tied_at_a_later_block_end(self, monkeypatch):
+        # revenue 1 at the first value and at the last, which ends a block: the
+        # first block's bound equals that best block-end revenue, and is kept
+        monkeypatch.setattr(learners, "_BLOCK", 2)
+        monkeypatch.setattr(learners, "_MIN_BLOCKS", 0)
+        u = np.array([1.0, 1.0, 1.5, 4.0])
+        assert erm(e(u)) == 1.0
+        assert_window_exact(u, u.size)
+
+    def test_rising_revenue_row(self):
+        # every value beats all before it with f = 0, so structural ERM prices the whole row
+        m = 100_000
+        j = np.arange(m)
+        assert_window_exact(np.exp(5e-5 * j) / (m - j), m)
+
+    def test_flat_powers_of_two_row(self):
+        # powers of two whose revenue returns to 1 at each doubling: every block can hold ERM's maximum
+        m = 100_000
+        assert_window_exact(2.0 ** np.floor(np.log2(m / (m - np.arange(m)))), m)
 
 
 class TestNonFiniteGrowthRejected:
@@ -445,6 +531,17 @@ class TestNonFiniteGrowthRejected:
             lr.decide(np.array([1.0, 2.0, 2.0]), 3, None)
         with pytest.raises(ValueError, match="finite"):
             lr.decide_counts(np.array([1.0, 2.0]), np.array([[1, 2], [3, 0]]), 3)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("make", [make_capped, make_structural])
+    def test_refused_before_the_window_on_many_blocks(self, monkeypatch, make, bad):
+        # 0.0 * inf is NaN with a RuntimeWarning, which the suite makes an error,
+        # so the refusal must come before any block arithmetic touches the zeros
+        monkeypatch.setattr(learners, "_MIN_BLOCKS", 0)  # window the 1,000 values (4 blocks)
+        values = np.concatenate([np.zeros(500), np.random.default_rng(8).random(500)])
+        lr = make(GrowthFns(g=lambda n: bad, f=lambda n: bad, g_name="bad", f_name="bad"))
+        with pytest.raises(ValueError, match="finite"):
+            lr.decide(values, values.size, None)
 
     @pytest.mark.parametrize("spec", ["capped:g=n^400", "structural:f=n^400"])
     def test_overflowing_power_rejected_at_pricing(self, spec):
