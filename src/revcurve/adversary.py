@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dist import Distribution, FinitePMF, InfeasibleParametersError
+from .dist import Distribution, FinitePMF, InfeasibleParametersError, tally
 from .learners import Learner
 
 __all__ = [
@@ -203,9 +203,9 @@ def build_slow_rate_distribution(
     A learner with decide_counts is symmetric and deterministic, so it is
     probed once per multiset: the C(2j-3, j-1) count vectors, priced in one
     decide_counts call.  Any other learner is probed on all (j-1)^(j-1)
-    ordered tuples, each bounded at confidence R(j-1)/4.  The budget applies
-    to the mode's own count; past it, allow_sampling draws that many tuples
-    with rng.choice.  probe_stats records the mode of every level.
+    ordered tuples, each bounded at confidence R(j-1)/4.  A dataset is a row
+    of support indices; past the mode's budget, allow_sampling draws that many
+    rows with rng.integers.  probe_stats records the mode of every level.
     """
     if depth < 2:
         raise ValueError("construction depth must be >= 2")
@@ -218,7 +218,7 @@ def build_slow_rate_distribution(
     counted = learner.decide_counts is not None  # probed by multisets (see above)
     for j in range(2, depth + 1):
         r_prev = rate.R[j - 2]
-        support = points[: j - 1]
+        support = np.array(points)
         total = math.comb(2 * j - 3, j - 1) if counted else (j - 1) ** (j - 1)
         sampled = total > probe.max_datasets_per_level
         if sampled:
@@ -226,23 +226,18 @@ def build_slow_rate_distribution(
                 raise BudgetExceededError(j, total, probe.max_datasets_per_level)
             if rng is None:
                 raise ValueError("sampled probing needs an rng")
-            datasets = [
-                tuple(rng.choice(support, size=j - 1)) for _ in range(probe.max_datasets_per_level)
-            ]
+            rows = rng.integers(j - 1, size=(probe.max_datasets_per_level, j - 1))
         elif counted:
-            datasets = list(itertools.combinations_with_replacement(support, j - 1))
+            rows = np.array(list(itertools.combinations_with_replacement(range(j - 1), j - 1)))
         else:
-            datasets = list(itertools.product(support, repeat=j - 1))
+            rows = np.array(list(itertools.product(range(j - 1), repeat=j - 1)))
         if counted:
-            # row r counts the copies of each support point in datasets[r]
-            idx = np.searchsorted(support, datasets)
-            counts = (idx[..., None] == np.arange(j - 1)).sum(axis=-2)
-            c = max(0.0, float(np.max(learner.price_counts(np.array(support), counts, j - 1))))
+            c = max(0.0, float(np.max(learner.price_counts(support, tally(rows, j - 1), j - 1))))
         else:
             c = 0.0
-            for ds in datasets:
+            for row in rows:
                 res = bound_learner_output(
-                    learner, np.array(ds), confidence_mass=r_prev / 4.0, trials=probe.trials_per_dataset, rng=rng
+                    learner, support[row], confidence_mass=r_prev / 4.0, trials=probe.trials_per_dataset, rng=rng
                 )
                 c = max(c, res.value)
         bounds.append(c)
@@ -250,7 +245,7 @@ def build_slow_rate_distribution(
             {
                 "level": j,
                 "mode": "multiset" if counted else "ordered",
-                "datasets_probed": len(datasets),
+                "datasets_probed": len(rows),
                 "datasets_total": total,
                 "sampled": sampled,
             }

@@ -133,11 +133,11 @@ class RateFit:
 # glibc gives a block at or above its mmap threshold its own mapping, unmapped
 # when freed, and trims free memory past its trim threshold off the heap top.
 # Both start at 128 KiB and grow only to the largest single block freed (0.8 MB
-# for a sample of 1e5), so every large continuous trial faulted its arrays back
-# in.  Pin them once per process (forked pool workers inherit them, spawned
-# ones import this module) at the ceilings glibc's dynamic thresholds reach
-# anyway.  -3 and -1 are glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD; where
-# there is no mallopt nothing is set.
+# for a sample of 1e5), so each large continuous trial loop trimmed its sample and
+# sorted copy off on return and the next loop faulted them back in.  Pin them once
+# per process (forked pool workers inherit them, spawned ones import this module)
+# at the ceilings glibc's dynamic thresholds reach anyway.  -3 and -1 are glibc's
+# M_MMAP_THRESHOLD and M_TRIM_THRESHOLD; where there is no mallopt nothing is set.
 try:
     _mallopt = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):
@@ -267,7 +267,15 @@ def expected_revenue_curve(
             parts = list(pool.map(_worker_revenues, *zip(*jobs), repeat(base_seed)))
         per_n = len(parts) // len(grid)
         revs = [np.concatenate(parts[i : i + per_n]) for i in range(0, len(parts), per_n)]
-    return [(n, float(np.mean(r)), float(np.std(r, ddof=1) / math.sqrt(trials))) for n, r in zip(grid, revs)]
+    return [(n, *_mean_se(r)) for n, r in zip(grid, revs)]
+
+
+def _mean_se(revs: np.ndarray) -> tuple[float, float]:
+    """Mean revenue and its standard error; trials that all earn one revenue
+    report it exactly with SE 0, where np.mean and np.std would leave float dust."""
+    if np.all(revs == revs[0]):
+        return float(revs[0]), 0.0
+    return float(np.mean(revs)), float(np.std(revs, ddof=1) / math.sqrt(revs.size))
 
 
 # -- rate fits ---------------------------------------------------------------

@@ -136,10 +136,14 @@ class FinitePMF:
         k = self.values.size
         if k <= n:
             return np.array([self.draw_counts(rng, n) for rng in rngs])
-        idx = self._atoms_hit(np.array([rng.random(n) for rng in rngs]))
-        rows = len(idx)
-        idx += k * np.arange(rows)[:, None]  # row r tallies into cells r*K .. r*K + K-1
-        return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+        return tally(self._atoms_hit(np.array([rng.random(n) for rng in rngs])), k)
+
+
+def tally(idx: np.ndarray, k: int) -> np.ndarray:
+    """Count rows of shape (rows, k) from atom-index rows: row r counts each index 0..k-1 in idx[r]."""
+    rows = len(idx)
+    cells = idx + k * np.arange(rows)[:, None]  # row r tallies into cells r*k .. r*k + k-1
+    return np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
 
 
 @dataclass(frozen=True)
@@ -419,9 +423,10 @@ class Distribution:
             )
 
         variant = need("variant")
+        label = typed("label", doc.get("label", "finite_pmf"), lambda v: isinstance(v, str), "a string")
         if variant == "finite_pmf":
             atoms = need("atoms", lambda v: isinstance(v, list) and all(map(pair, v)), "a list of [value, mass] pairs")
-            return zoo("finite", points=atoms, label=doc.get("label", "finite_pmf"))
+            return zoo("finite", points=atoms, label=label)
         if variant not in ("tail_rule", "continuous"):
             raise ValueError(f"unknown distribution variant {variant!r}")
         params = dict(typed("params", doc.get("params", {}), lambda v: isinstance(v, dict), "an object"))
@@ -552,9 +557,10 @@ _ZOO: dict[str, Callable[..., Distribution]] = {
 def zoo(name: str, **params) -> Distribution:
     """The named law built from its spec keys; zoo_names() lists the catalogue.
 
-    A law takes exactly the keywords of its builder in `_ZOO`.  An unknown
-    name, an unknown key or a missing one raises ValueError naming the law and
-    the key; a value the law cannot take raises InfeasibleParametersError.
+    A law takes exactly the keywords of its builder in `_ZOO`, and a real
+    number for each one annotated float.  An unknown name, an unknown key, a
+    missing one or a value of the wrong type raises ValueError naming the law
+    and the key; a value the law cannot take raises InfeasibleParametersError.
     """
     builder = _ZOO.get(name)
     if builder is None:
@@ -565,6 +571,10 @@ def zoo(name: str, **params) -> Distribution:
     except TypeError as exc:
         keys = ", ".join(schema.parameters) or "no keys"
         raise ValueError(f"zoo law {name!r} takes {keys}: {exc}") from None
+    for key, value in params.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if schema.parameters[key].annotation == "float" and not real:  # a string under the __future__ import
+            raise ValueError(f"zoo law {name!r}: key {key!r} must be a real number, got {value!r}")
     return builder(**params)
 
 

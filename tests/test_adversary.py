@@ -288,6 +288,27 @@ class TestMultisetProbing:
         }
         assert con.bounds == ordered_bounds(make(), con, draws)
 
+    @pytest.mark.parametrize(
+        "make", [erm_ordered, lambda: Learner("split-ordered", decide=split_learner().decide)], ids=["erm", "split"]
+    )
+    def test_sampled_ordered_tuples_match_rng_choice(self, make):
+        budget = 3
+        _, con = build_slow_rate_distribution(
+            make(),
+            lambda j: j**-0.5,
+            depth=5,
+            probe=ProbeConfig(max_datasets_per_level=budget, allow_sampling=True),
+            rng=philox(8),
+        )
+        sampled = [level["level"] for level in con.probe_stats["levels"] if level["sampled"]]
+        assert sampled == [3, 4, 5]  # 2^2 = 4 ordered tuples is the first count above 3
+        assert all(level["datasets_probed"] == budget for level in con.probe_stats["levels"][1:])
+        rng = philox(8)
+        draws = {
+            j: [tuple(rng.choice(con.points[: j - 1], size=j - 1)) for _ in range(budget)] for j in sampled
+        }
+        assert con.bounds == ordered_bounds(make(), con, draws)
+
 
 class TestConsistentTargets:
     """Beside criterion 6 (plain ERM): the consistent learners' own depth-6

@@ -229,6 +229,9 @@ class TestCurveCommand:
         ({"variant": "continuous", "rule_name": "uniform01", "params": 3}, "key 'params' must be an object, got 3"),
         ({"variant": "tail_rule", "rule_name": "erm_hard", "truncation_depth": "x"},
          "truncation_depth must be an integer, got 'x'"),
+        ({"variant": "continuous", "rule_name": "two_point", "params": {"p": "x", "p_prime": 3, "c": 2}},
+         "zoo law 'two_point': key 'p' must be a real number, got 'x'"),
+        ({"variant": "finite_pmf", "atoms": [[1.0, 0.5], [3.0, 0.5]], "label": 5}, "key 'label' must be a string, got 5"),
     ])
     def test_dist_document_mistyped_key_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"

@@ -439,6 +439,25 @@ class TestLearningCurve:
         assert back.points == curve.points and back.base_seed == curve.base_seed
 
 
+class TestOneRevenuePoints:
+    """A point whose trials all earn one revenue reports it exactly with SE 0;
+    np.mean and np.std over equal values leave float dust that reads as signal."""
+
+    def test_optimal_price_in_every_trial_reads_zero_gap(self):
+        d = parse_dist("finite:1@0.3,2@0.4,3@0.3")
+        curve = learning_curve(make_erm(), d, [100, 1000, 10_000, 100_000], trials=2000, base_seed=4)
+        assert [(p.mean_gap, p.std_err) for p in curve.points] == [(0.0, 0.0)] * 4
+        with pytest.raises(InsufficientDataError):
+            fit_power(curve)
+
+    def test_one_wrong_price_in_every_trial_reads_its_exact_gap(self):
+        d = parse_dist("finite:1@0.2,10@0.79,1000@0.01")
+        price = make_truncated().decide(d.sample(np.random.default_rng(0), 1000).values, 1000, None)
+        point = estimate_gap(make_truncated(), d, n=1000, trials=2000, base_seed=7)
+        assert point.std_err == 0.0
+        assert point.mean_gap == d.optimal_revenue().value - d.revenue(price) > 4.0
+
+
 def synthetic_curve(ns, gaps):
     pts = tuple(CurvePoint(n, g, g * 1e-6, 100) for n, g in zip(ns, gaps))
     return LearningCurve("synthetic", "synthetic", pts, 0)

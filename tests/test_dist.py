@@ -18,6 +18,7 @@ from revcurve.dist import (
     SearchBudgetError,
     TailRuleDist,
     parse_dist,
+    tally,
     two_point,
     zoo,
     zoo_names,
@@ -377,6 +378,14 @@ class TestSampling:
             band = 5.0 * np.sqrt(n * table.masses * (1.0 - table.masses)) + 1e-9
             assert np.all(np.abs(got - n * table.masses) <= band)
 
+    @pytest.mark.parametrize("rows,width,k", [(1, 1, 1), (7, 3, 5), (128, 60, 128), (40, 9, 2)])
+    def test_tally_counts_each_index_of_each_row(self, rows, width, k):
+        idx = philox(rows * k).integers(k, size=(rows, width))
+        kept = idx.copy()
+        counts = tally(idx, k)
+        assert np.array_equal(counts, (idx[..., None] == np.arange(k)).sum(axis=-2))
+        assert np.array_equal(idx, kept)  # the rows are read, not written
+
     def test_atom_table(self):
         pmf = parse_dist("finite:1@0.2,10@0.79,1000@0.01")
         assert pmf.atom_table is pmf.variant
@@ -497,6 +506,13 @@ class TestZooSchema:
         assert zoo("erm_hard").variant.truncation_depth == 20
         assert zoo("discrete_no_opt").variant.truncation_depth == 10_000
 
+    @pytest.mark.parametrize("value", ["x", True, None, [1.0]])
+    def test_non_real_value_names_the_law_and_the_key(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"zoo law 'two_point': key 'p' must be a real number, got {value!r}")) as exc:
+            zoo("two_point", p=value, p_prime=3, c=2)
+        assert not isinstance(exc.value, InfeasibleParametersError)
+        assert zoo("two_point", p=np.float64(1.0), p_prime=3, c=2).label == zoo("two_point", p=1, p_prime=3.0, c=2).label
+
     def test_type_error_inside_a_builder_is_not_a_spec_error(self):
         with pytest.raises(TypeError):
             zoo("finite", points=[1.0, 2.0])  # atoms are not (value, mass) pairs
@@ -563,6 +579,8 @@ class TestSerialization:
         ({"variant": "finite_pmf", "atoms": [[1.0, 0.5, 3.0]]}, "atoms", "a list of [value, mass] pairs"),
         ({"variant": "continuous", "rule_name": "uniform01", "params": 3}, "params", "an object"),
         ({"variant": "continuous", "rule_name": ["uniform01"]}, "rule_name", "a string"),
+        ({"variant": "finite_pmf", "atoms": [[1.0, 1.0]], "label": 5}, "label", "a string"),
+        ({"variant": "continuous", "rule_name": "uniform01", "label": None}, "label", "a string"),
     ])
     def test_mistyped_key_named(self, doc, key, kind):
         with pytest.raises(ValueError, match=re.escape(f"key '{key}' must be {kind}, got ")):

@@ -2,9 +2,11 @@
 continuous trial frees stay mapped and the next trial reuses them instead of
 faulting fresh pages in.
 
-The count runs in a fresh interpreter: a long test session may already have
+Each count runs in a fresh interpreter: a long test session may already have
 raised glibc's dynamic thresholds by freeing some larger block, which would
-hide a process that never set them.
+hide a process that never set them.  The per-decide count reads 0 with or
+without the thresholds; the per-trial count over an estimate_gap run is the
+one that needs them (about 7 to 11 faults per trial without).
 """
 
 import os
@@ -27,6 +29,18 @@ for _ in range(50):
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 """
 
+# a warm-up run first, so one-time costs (imports, first pages) fall outside the count
+FAULTS_PER_TRIAL = """
+import resource, sys
+from revcurve import parse_dist, parse_learner
+from revcurve.curves import estimate_gap
+learner, dist = parse_learner(sys.argv[1]), parse_dist(sys.argv[2])
+estimate_gap(learner, dist, n=100_000, trials=5, base_seed=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_gap(learner, dist, n=100_000, trials=50, base_seed=2)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
 
 def on_glibc() -> bool:
     try:
@@ -42,3 +56,12 @@ def test_decide_on_a_large_sample_does_not_fault_its_arrays_back_in(learner):
                          capture_output=True, text=True, check=True, timeout=120)
     faults = float(out.stdout)
     assert faults < 5, f"{learner}: {faults} minor page faults per decide at n = 1e5"
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap thresholds are set on glibc only")
+@pytest.mark.parametrize("learner,dist", [("erm", "uniform01"), ("structural", "uniform01"), ("capped", "regular_no_opt")])
+def test_trials_on_a_large_sample_do_not_fault_their_arrays_back_in(learner, dist):
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_TRIAL, learner, dist],
+                         capture_output=True, text=True, check=True, timeout=120)
+    faults = float(out.stdout)
+    assert faults < 1, f"{learner} on {dist}: {faults} minor page faults per trial at n = 1e5"
