@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -85,11 +86,15 @@ class BoundResult:
     quantile_miss_prob: float = 0.0
 
 
+def _check_count(name: str, value) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be >= 1, got {value!r} (a whole number)")
+
+
 def _outputs(learner: Learner, dataset: np.ndarray, trials: int, rng: Optional[np.random.Generator]) -> np.ndarray:
     """The learner's prices on dataset: its one output when deterministic,
     else `trials` outputs drawn with rng."""
-    if trials < 1:
-        raise ValueError(f"probe trials must be >= 1, got {trials}")
+    _check_count("probe trials", trials)
     dataset = np.asarray(dataset, dtype=np.float64)
     if learner.deterministic:
         return np.array([float(learner.decide(dataset, dataset.size, rng))])
@@ -137,8 +142,7 @@ class ProbeConfig:
 
     def __post_init__(self):
         for name in ("trials_per_dataset", "max_datasets_per_level"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -465,8 +469,7 @@ def coin_game(p: float, gamma: float, c: float, trials: int, rng: np.random.Gene
     """
     if not (0.0 < gamma < p) or p + gamma >= 1.0:
         raise ValueError("need 0 < gamma < p and p + gamma < 1")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials)
     n = math.ceil(c * p / gamma**2)
     if n < 1:
         raise ValueError("sample size c*p/gamma^2 must be >= 1")

@@ -292,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--phi", type=str, default="inv", help="target rate: inv, pow:<a>, const:<v>")
     p_adv.add_argument("--depth", type=int, required=True)
     p_adv.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials per level")
-    p_adv.add_argument("--probe-trials", type=int, default=10_000, help="probes per dataset for randomized learners")
-    p_adv.add_argument("--max-datasets", type=int, default=4_000)
+    probe = adversary.ProbeConfig
+    p_adv.add_argument("--probe-trials", type=int, default=probe.trials_per_dataset, help="probes per dataset for randomized learners")
+    p_adv.add_argument("--max-datasets", type=int, default=probe.max_datasets_per_level)
     p_adv.add_argument("--allow-sampling", action="store_true")
     p_adv.set_defaults(func=_cmd_adversary)
 

@@ -243,8 +243,8 @@ def expected_revenue_curve(
         raise ValueError(f"trials {trials!r} is not an integer >= 2 (a standard error needs 2 trials)")
     if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
         raise ValueError(f"base seed {base_seed!r} is not an integer >= 0")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be >= 1, got {workers!r} (a whole number of processes)")
     if workers == 1:
         revs = [_trial_revenues(learner, dist, n, range(trials), base_seed) for n in grid]
     else:
@@ -333,7 +333,7 @@ def _pmf_of(dist: Distribution) -> FinitePMF:
 def _teps_pieces(pmf: FinitePMF, opt: float, eps: float) -> list[tuple[float, float]]:
     """Maximal-resolution decomposition of T(eps) into closed pieces [lo, v_i],
     one per support interval, each free of interior atoms."""
-    if eps < 0.0:
+    if not eps >= 0.0:  # NaN fails too
         raise ValueError("eps must be nonnegative")
     thr = opt - eps
     if thr <= 0.0:

@@ -81,9 +81,9 @@ def empirical_dist(sample: Sample) -> EmpiricalDist:
 
 def dkw_bound(n: int, eps: float) -> float:
     """DKW tail bound min(1, 2 exp(-2 n eps^2)) on Pr[sup_x |F_n - F| > eps]."""
-    if n < 1:
+    if not n >= 1:  # NaN fails these checks too
         raise ValueError("n must be >= 1")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     return min(1.0, 2.0 * math.exp(-2.0 * n * eps * eps))
 

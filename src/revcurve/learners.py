@@ -33,8 +33,7 @@ import functools
 import math
 import shlex
 import subprocess
-import types
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,7 +98,7 @@ def _f_quarter(n: int) -> float:
     return n ** -0.25
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Learner:
     """A pricing rule: decide(values, n, rng) -> posted price.
 
@@ -123,20 +122,6 @@ class Learner:
     def __post_init__(self):
         if self.decide_counts is not None and not self.deterministic:
             raise ValueError(f"learner {self.name!r}: a count form declares the rule deterministic, not deterministic=False")
-
-    def _value(self) -> tuple:
-        # Python compares a bound method's __self__ by identity; compare it by
-        # value, so equal rules, pickled or not, make equal learners
-        return tuple(
-            (v.__func__, v.__self__) if isinstance(v, types.MethodType) else v
-            for v in (getattr(self, f.name) for f in fields(self))
-        )
-
-    def __eq__(self, other):
-        return self._value() == other._value() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._value())
 
     def price_counts(self, values: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
         """decide_counts on a block of count rows (shape (rows, K)), one price per row."""
@@ -338,7 +323,7 @@ def _structural_end(u: np.ndarray, m: int, fn: float) -> int:
 @dataclass(frozen=True)
 class _Rule:
     """Plain ERM, capped at cap(n), or structural with confidence scale(n),
-    priced from a sample (decide) or from count vectors (decide_counts)."""
+    priced from a sample (called as decide) or from count vectors (on_counts)."""
 
     cap: Optional[Callable[[int], float]] = None
     scale: Optional[Callable[[int], float]] = None
@@ -362,10 +347,10 @@ class _Rule:
             window = _erm_span(u, m, m)
         return float(self.price(u[window], _left(m)[window], None, m, n))
 
-    def decide(self, values, n, rng):
+    def __call__(self, values, n, rng):
         return self.on_sorted(EmpiricalDist.from_values(values), n)
 
-    def decide_counts(self, values, counts, n):
+    def on_counts(self, values, counts, n):
         return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts), n), n, n)
 
 
@@ -375,16 +360,25 @@ class _Constant:
 
     price: float
 
-    def decide(self, values, n, rng):
+    def __call__(self, values, n, rng):
         return self.price
 
-    def decide_counts(self, values, counts, n):
+    def on_counts(self, values, counts, n):
         return np.full(np.shape(counts)[:-1], self.price)[()]
 
 
+@dataclass(frozen=True)
+class _Counts:
+    """A rule's count door as a record: a bound method compares its owner by identity, so a pickled copy would differ."""
+
+    rule: _Rule | _Constant
+
+    def __call__(self, values, counts, n):
+        return self.rule.on_counts(values, counts, n)
+
+
 def _learner(name: str, rule: _Rule | _Constant, config: GrowthFns | None = None) -> Learner:
-    # bound methods of a frozen record pickle by reference, so pool workers get this rule
-    return Learner(name=name, decide=rule.decide, config=config, decide_counts=rule.decide_counts)
+    return Learner(name=name, decide=rule, config=config, decide_counts=_Counts(rule))
 
 
 def make_erm() -> Learner:

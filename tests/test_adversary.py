@@ -131,6 +131,7 @@ class TestBoundLearnerOutput:
 
     @pytest.mark.parametrize("mass,trials,msg", [
         (0.0, 10, "confidence_mass"), (1.0, 10, "confidence_mass"), (0.25, 0, "probe trials"),
+        (0.25, 1.5, "probe trials"),
     ])
     def test_arguments_refused(self, mass, trials, msg):
         with pytest.raises(ValueError, match=msg):
@@ -521,6 +522,20 @@ class TestCoinGame:
     def test_zero_c_refused(self):
         with pytest.raises(ValueError, match="must be >= 1"):
             coin_game(p=0.01, gamma=0.001, c=0.0, trials=10, rng=philox(46))
+
+    @pytest.mark.parametrize("trials", [0, 2.5, 10.0])
+    def test_trials_not_a_whole_number_refused(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials!r}"):
+            coin_game(p=0.1, gamma=0.01, c=1.0, trials=trials, rng=philox(47))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("trials_per_dataset", 0), ("trials_per_dataset", 1.5), ("max_datasets_per_level", 0),
+    ("max_datasets_per_level", 100.0),
+])
+def test_probe_config_refuses_counts_that_are_not_whole(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value!r}"):
+        ProbeConfig(**{field: value})
 
 
 class TestExpLbWitness:

@@ -397,7 +397,7 @@ class TestLearningCurve:
         with pytest.raises(ValueError, match=f"base seed {seed!r} "):
             estimate_gap(make_erm(), zoo(law), n=64, trials=50, base_seed=seed)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5])
     def test_workers_below_one_refused(self, workers):
         d = two_point(1.0, 3.0, 2.0)
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
@@ -544,10 +544,13 @@ class TestTEps:
     @pytest.mark.parametrize("dist,eps,msg", [
         (zoo("uniform01"), 0.1, "finite support"),
         (zoo("finite", points=[(1.0, 1.0)]), -0.1, "eps must be nonnegative"),
-    ], ids=["uniform01", "negative_eps"])
+        (two_point(1.0, 3.0, 2.0), math.nan, "eps must be nonnegative"),
+    ], ids=["uniform01", "negative_eps", "nan_eps"])
     def test_refused(self, dist, eps, msg):
         with pytest.raises(ValueError, match=msg):
             t_eps(dist, eps)
+        with pytest.raises(ValueError, match=msg):
+            delta_eps(dist, eps)
 
 
 FIVE_PMFS = [

@@ -101,6 +101,10 @@ class TestDKWBound:
             dkw_bound(100, 0.0)
         with pytest.raises(ValueError):
             dkw_bound(0, 0.1)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            dkw_bound(10, math.nan)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dkw_bound(math.nan, 0.1)
 
 
 class TestSupCdfDeviation:

@@ -8,6 +8,7 @@ Where that loop drew a sample (n < K <= 128), the batched loop tallies the
 same draws into count rows, so the bits must still be equal.
 """
 
+import dataclasses
 import itertools
 import pickle
 
@@ -144,6 +145,27 @@ def test_learners_compare_by_value(spec):
     assert lr == parse_learner(spec) and hash(lr) == hash(parse_learner(spec))
     assert pickle.loads(pickle.dumps(lr)) == lr
     assert all(lr != parse_learner(other) for other in COUNT_SPECS if other != spec)
+
+
+@dataclasses.dataclass
+class Grid:
+    """A non-frozen record holding an array: its == compares elementwise and it has no hash."""
+
+    prices: np.ndarray
+
+    def decide(self, values, n, rng):
+        return float(self.prices[0])
+
+
+def test_bound_method_learners_compare_as_python_does():
+    # a hand-built learner compares its callables as Python does: a bound
+    # method by its owner's identity, never by the owner's own ==
+    a = Learner("grid", decide=Grid(np.array([1.0, 2.0])).decide)
+    b = Learner("grid", decide=Grid(np.array([1.0, 2.0])).decide)
+    assert not a == b and a != b
+    assert isinstance(hash(a), int) and isinstance(hash(b), int)
+    assert a not in [b]
+    assert a == Learner("grid", decide=a.decide) and hash(a) == hash(Learner("grid", decide=a.decide))
 
 
 LAWS = [
