@@ -4,54 +4,39 @@ A distribution zoo with exact survival/revenue queries, the ERM family of
 pricing algorithms, Monte Carlo learning-curve estimation with reproducible
 counter-based seeding, adversarial lower-bound constructions, and rate-fit
 diagnostics, plus a CLI front end (`revcurve --help`).
+
+Each public name loads its home module on first access, so a process imports
+only the modules it uses: `parse_learner` and `parse_dist` load neither the
+curves nor the adversary module, and `import revcurve` alone loads no NumPy.
 """
 
-from .adversary import (
-    BoundResult,
-    CoinGameResult,
-    GadgetParams,
-    GadgetReport,
-    ProbeConfig,
-    SlowRateConstruction,
-    WitnessPoint,
-    bound_learner_output,
-    build_slow_rate_distribution,
-    coin_game,
-    exp_lb_witness,
-    gadget_member,
-    monotone_envelope,
-    uniform_gadget,
-    validate_slow_rate,
-    verify_gadget,
-)
-from .curves import (
-    CurvePoint,
-    LearningCurve,
-    RateFit,
-    delta_eps,
-    estimate_gap,
-    expected_revenue_curve,
-    fit_exponential,
-    fit_power,
-    learning_curve,
-    t_eps,
-)
-from .dist import Distribution, FinitePMF, OptResult, parse_dist, two_point, zoo, zoo_names
-from .empirical import EmpiricalDist, Sample, dkw_bound, empirical_dist, sup_cdf_deviation
-from .learners import (
-    GrowthFns,
-    Learner,
-    capped_erm,
-    erm,
-    make_capped,
-    make_constant,
-    make_erm,
-    make_structural,
-    make_subprocess,
-    make_truncated,
-    parse_learner,
-    structural_erm,
-    truncated_erm,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# each public name under its home module
+_HOMES = {
+    "adversary": """BoundResult CoinGameResult GadgetParams GadgetReport ProbeConfig SlowRateConstruction WitnessPoint
+        bound_learner_output build_slow_rate_distribution coin_game exp_lb_witness gadget_member monotone_envelope
+        uniform_gadget validate_slow_rate verify_gadget""",
+    "curves": """CurvePoint LearningCurve RateFit delta_eps estimate_gap expected_revenue_curve fit_exponential
+        fit_power learning_curve t_eps""",
+    "dist": "Distribution FinitePMF OptResult parse_dist two_point zoo zoo_names",
+    "empirical": "EmpiricalDist Sample dkw_bound empirical_dist sup_cdf_deviation",
+    "learners": """GrowthFns Learner capped_erm erm make_capped make_constant make_erm make_structural make_subprocess
+        make_truncated parse_learner structural_erm truncated_erm""",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

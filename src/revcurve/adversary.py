@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .curves import estimate_gap
 from .dist import Distribution, FinitePMF, InfeasibleParametersError, tally
 from .learners import Learner
 
@@ -290,8 +291,6 @@ def validate_slow_rate(
 ) -> list[dict]:
     """Monte Carlo gap at n = j against the R(j)/4 target, one row per level:
     each of `levels` (every level 2..depth when None)."""
-    from .curves import estimate_gap  # local import keeps module deps one-way
-
     levels = range(2, construction.depth + 1) if levels is None else list(levels)
     outside = [j for j in levels if not 2 <= j <= construction.depth]
     if outside:

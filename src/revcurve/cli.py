@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adversary, curves
 from .dist import InfeasibleParametersError, SearchBudgetError, parse_dist, zoo_names
 from .learners import LearnerProcessError, parse_learner
 
@@ -139,7 +138,13 @@ def _svg_log_log(points: list[tuple[float, float]], title: str) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 
+# Each command imports the modules it runs, so a curve run never loads the
+# adversary and a zoo listing loads neither.
+
+
 def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
+    from . import curves
+
     _apply_config_file(args, parser)
     for key in ("learner", "dist", "grid", "trials"):
         if getattr(args, key, None) is None:
@@ -181,14 +186,16 @@ def _parse_phi(spec: str):
 
 
 def _cmd_adversary(args) -> int:
+    from . import adversary
+
     learner = parse_learner(args.learner)
     phi = _parse_phi(args.phi)
     seed = _base_seed(args)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xADFE))))
+    counts = {"trials_per_dataset": args.probe_trials, "max_datasets_per_level": args.max_datasets}
+    # an unset count keeps ProbeConfig's own default
     probe = adversary.ProbeConfig(
-        trials_per_dataset=args.probe_trials,
-        max_datasets_per_level=args.max_datasets,
-        allow_sampling=args.allow_sampling,
+        allow_sampling=args.allow_sampling, **{key: value for key, value in counts.items() if value is not None}
     )
     dist, construction = adversary.build_slow_rate_distribution(learner, phi, args.depth, probe, rng)
     report = adversary.validate_slow_rate(dist, construction, learner, trials=args.trials, base_seed=seed)
@@ -206,6 +213,8 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    from . import adversary
+
     gp = adversary.uniform_gadget(args.x, args.q, args.p, args.gamma)
     seed = _base_seed(args)
     doc: dict = asdict(gp) | {"members": {}, "coin_game": []}
@@ -237,6 +246,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_coin(args) -> int:
+    from . import adversary
+
     seed = _base_seed(args)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC014))))
     res = adversary.coin_game(args.p, args.gamma, args.c, trials=args.trials, rng=rng)
@@ -245,6 +256,8 @@ def _cmd_coin(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import curves
+
     curve = curves.LearningCurve.from_csv(args.csv)
     fits = []
     if args.model in ("power", "both"):
@@ -292,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--phi", type=str, default="inv", help="target rate: inv, pow:<a>, const:<v>")
     p_adv.add_argument("--depth", type=int, required=True)
     p_adv.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials per level")
-    probe = adversary.ProbeConfig
-    p_adv.add_argument("--probe-trials", type=int, default=probe.trials_per_dataset, help="probes per dataset for randomized learners")
-    p_adv.add_argument("--max-datasets", type=int, default=probe.max_datasets_per_level)
+    # unset, these two take ProbeConfig's defaults
+    p_adv.add_argument("--probe-trials", type=int, default=None, help="probes per dataset for randomized learners")
+    p_adv.add_argument("--max-datasets", type=int, default=None)
     p_adv.add_argument("--allow-sampling", action="store_true")
     p_adv.set_defaults(func=_cmd_adversary)
 
@@ -332,14 +345,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleParametersError, adversary.BudgetExceededError, SearchBudgetError, curves.GapUndefinedError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ValueError, LearnerProcessError, curves.InsufficientDataError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the error path alone imports the exit-3 classes of modules a run may not load
+        from .adversary import BudgetExceededError
+        from .curves import GapUndefinedError
+
+        if isinstance(exc, (InfeasibleParametersError, BudgetExceededError, SearchBudgetError, GapUndefinedError)):
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        if isinstance(exc, (ValueError, LearnerProcessError)):  # InsufficientDataError is a ValueError
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        print(f"internal error: {exc}", file=sys.stderr)  # pragma: no cover - defensive
         return EXIT_INTERNAL
 
 

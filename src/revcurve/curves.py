@@ -22,7 +22,8 @@ when one is needed, is still a fresh SeedSequence-backed Generator per trial.
 With workers > 1 a run opens one process pool for its whole grid, forked on
 Linux and spawned elsewhere, with no more workers than jobs; each worker
 receives the caller's learner and distribution once, pickled and checked
-before any process starts.
+before any process starts, and its jobs in batches that still spread each
+grid point over every worker.
 """
 
 from __future__ import annotations
@@ -263,9 +264,12 @@ def expected_revenue_curve(
         # no lock held by NumPy's idle BLAS thread is needed in the child.
         # macOS keeps spawn, as its system frameworks are unsafe after fork.
         context = get_context("fork" if sys.platform.startswith("linux") else "spawn")
-        with ProcessPoolExecutor(min(workers, len(jobs)), context, initializer=_init_worker, initargs=(payload,)) as pool:
-            parts = list(pool.map(_worker_revenues, *zip(*jobs), repeat(base_seed)))
-        per_n = len(parts) // len(grid)
+        size, per_n = min(workers, len(jobs)), len(jobs) // len(grid)
+        # about four messages per worker, but each grid point in at least `size`
+        # of them, so the largest n, which costs the most, still runs on every worker
+        chunksize = max(1, min(math.ceil(len(jobs) / (size * 4)), per_n // size))
+        with ProcessPoolExecutor(size, context, initializer=_init_worker, initargs=(payload,)) as pool:
+            parts = list(pool.map(_worker_revenues, *zip(*jobs), repeat(base_seed), chunksize=chunksize))
         revs = [np.concatenate(parts[i : i + per_n]) for i in range(0, len(parts), per_n)]
     return [(n, *_mean_se(r)) for n, r in zip(grid, revs)]
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -552,6 +553,63 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["curve"] == str(tmp_path / "curve.csv")
+
+    # In-process tests share sys.modules, so they cannot see a command that
+    # misses an import of its own; each command runs once in a fresh interpreter.
+    @pytest.mark.parametrize(
+        "args,expect",
+        [
+            (["adversary", "--learner", "erm", "--depth", "3", "--trials", "20", "--out", "{out}"], "level 3: gap="),
+            (["gadget", "--x", "1.0", "--q", "0.5", "--p", "0.05", "--trials", "200"], '"all_pass": true'),
+            (["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--trials", "100"], '"error_rate"'),
+        ],
+    )
+    def test_command_in_a_fresh_interpreter(self, args, expect, tmp_path):
+        args = [arg.format(out=tmp_path) for arg in args]
+        proc = subprocess.run([sys.executable, "-m", "revcurve", *args], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and expect in proc.stdout, proc.stderr
+
+    def test_fit_in_a_fresh_interpreter(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("n,trials,mean_gap,std_err,seed\n" + "".join(f"{n},100,{n**-0.5!r},1e-9,0\n" for n in (10, 100, 1000)))
+        proc = subprocess.run([sys.executable, "-m", "revcurve", "fit", "--csv", str(path), "--model", "power"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["slope_or_rate"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_budget_exhaustion_exit_3_in_a_fresh_interpreter(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "revcurve", "adversary", "--learner", "erm", "--depth", "7", "--max-datasets", "50",
+             "--trials", "100", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3 and "budget" in proc.stderr.lower()
+
+    def test_adversary_help_keeps_its_bytes(self):
+        proc = subprocess.run([sys.executable, "-m", "revcurve", "adversary", "--help"], capture_output=True,
+                              text=True, env={**os.environ, "COLUMNS": "80"}, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == ADVERSARY_HELP
+
+
+ADVERSARY_HELP = """\
+usage: revcurve adversary [-h] [--seed SEED] [--out OUT] --learner LEARNER
+                          [--phi PHI] --depth DEPTH [--trials TRIALS]
+                          [--probe-trials PROBE_TRIALS]
+                          [--max-datasets MAX_DATASETS] [--allow-sampling]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           base seed (default: REVCURVE_SEED or builtin)
+  --out OUT             output directory
+  --learner LEARNER
+  --phi PHI             target rate: inv, pow:<a>, const:<v>
+  --depth DEPTH
+  --trials TRIALS       Monte Carlo trials per level
+  --probe-trials PROBE_TRIALS
+                        probes per dataset for randomized learners
+  --max-datasets MAX_DATASETS
+  --allow-sampling
+"""
 
 
 class TestNonFiniteGrowthSpec:

@@ -1,4 +1,4 @@
-"""Importing revcurve pins glibc's heap thresholds, so the arrays a large
+"""Loading revcurve.curves pins glibc's heap thresholds, so the arrays a large
 continuous trial frees stay mapped and the next trial reuses them instead of
 faulting fresh pages in.
 
@@ -9,6 +9,7 @@ without the thresholds; the per-trial count over an estimate_gap run is the
 one that needs them (about 7 to 11 faults per trial without).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +66,24 @@ def test_trials_on_a_large_sample_do_not_fault_their_arrays_back_in(learner, dis
                          capture_output=True, text=True, check=True, timeout=120)
     faults = float(out.stdout)
     assert faults < 1, f"{learner} on {dist}: {faults} minor page faults per trial at n = 1e5"
+
+
+# CDLL replaced by a recorder, so the calls show on every platform; the module
+# that runs trials sets both thresholds when it is loaded
+MALLOPT_CALLS = """
+import ctypes, json
+calls = []
+
+class Library:
+    def __init__(self, name, *args, **kwargs):
+        self.mallopt = lambda *values: calls.append(values) or 1
+
+ctypes.CDLL = Library
+import revcurve.curves
+print(json.dumps(calls))
+"""
+
+
+def test_loading_the_curve_module_sets_both_heap_thresholds():
+    out = subprocess.run([sys.executable, "-c", MALLOPT_CALLS], capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == [[-3, 32 << 20], [-1, 64 << 20]]
