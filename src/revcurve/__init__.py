@@ -14,17 +14,19 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each public name under its home module
+# the package's one list of public names, each under its home module; a module
+# marks its private names with a leading underscore and keeps no __all__ of its own
 _HOMES = {
-    "adversary": """BoundResult CoinGameResult GadgetParams GadgetReport ProbeConfig SlowRateConstruction WitnessPoint
-        bound_learner_output build_slow_rate_distribution coin_game exp_lb_witness gadget_member monotone_envelope
-        uniform_gadget validate_slow_rate verify_gadget""",
-    "curves": """CurvePoint LearningCurve RateFit delta_eps estimate_gap expected_revenue_curve fit_exponential
-        fit_power learning_curve t_eps""",
-    "dist": "Distribution FinitePMF OptResult parse_dist two_point zoo zoo_names",
+    "adversary": """BoundResult BudgetExceededError CoinGameResult GadgetParams GadgetReport GadgetStructureError
+        ProbeConfig RateFn SlowRateConstruction WitnessPoint bound_learner_output build_slow_rate_distribution
+        coin_game exp_lb_witness gadget_member monotone_envelope uniform_gadget validate_slow_rate verify_gadget""",
+    "curves": """CurvePoint GapUndefinedError InsufficientDataError LearningCurve RateFit TEpsResult delta_eps
+        estimate_gap expected_revenue_curve fit_exponential fit_power learning_curve t_eps""",
+    "dist": """ContinuousDist Distribution FinitePMF InfeasibleParametersError OptResult SearchBudgetError TailRuleDist
+        parse_dist tally two_point zoo zoo_names""",
     "empirical": "EmpiricalDist Sample dkw_bound empirical_dist sup_cdf_deviation",
-    "learners": """GrowthFns Learner capped_erm erm make_capped make_constant make_erm make_structural make_subprocess
-        make_truncated parse_learner structural_erm truncated_erm""",
+    "learners": """GrowthFns Learner LearnerProcessError capped_erm default_growth erm make_capped make_constant
+        make_erm make_structural make_subprocess make_truncated parse_learner structural_erm truncated_erm""",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -23,28 +23,6 @@ from .curves import estimate_gap
 from .dist import Distribution, FinitePMF, InfeasibleParametersError, tally
 from .learners import Learner
 
-__all__ = [
-    "RateFn",
-    "monotone_envelope",
-    "BoundResult",
-    "bound_learner_output",
-    "ProbeConfig",
-    "BudgetExceededError",
-    "SlowRateConstruction",
-    "build_slow_rate_distribution",
-    "validate_slow_rate",
-    "GadgetParams",
-    "uniform_gadget",
-    "gadget_member",
-    "GadgetStructureError",
-    "GadgetReport",
-    "verify_gadget",
-    "CoinGameResult",
-    "coin_game",
-    "WitnessPoint",
-    "exp_lb_witness",
-]
-
 
 @dataclass(frozen=True)
 class RateFn:

@@ -150,7 +150,10 @@ def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
         if getattr(args, key, None) is None:
             raise ConfigError(f"curve needs --{key} (flag or config file)")
     learner = parse_learner(args.learner)
-    dist = parse_dist(args.dist)
+    try:
+        dist = parse_dist(args.dist)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --dist file {args.dist!r}: {exc}") from exc
     grid = _parse_grid(args.grid)
     seed = _base_seed(args)
     workers = _workers(args)
@@ -258,7 +261,10 @@ def _cmd_coin(args) -> int:
 def _cmd_fit(args) -> int:
     from . import curves
 
-    curve = curves.LearningCurve.from_csv(args.csv)
+    try:
+        curve = curves.LearningCurve.from_csv(args.csv)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --csv file {args.csv!r}: {exc}") from exc
     fits = []
     if args.model in ("power", "both"):
         fits.append(curves.fit_power(curve))

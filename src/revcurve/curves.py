@@ -47,21 +47,6 @@ from .streams import learner_stream, sample_streams
 # bench/tracing.py and tests/test_curves.py import these two from revcurve.curves
 from .streams import sample_stream, trial_streams  # noqa: F401
 
-__all__ = [
-    "CurvePoint",
-    "LearningCurve",
-    "RateFit",
-    "GapUndefinedError",
-    "InsufficientDataError",
-    "estimate_gap",
-    "learning_curve",
-    "expected_revenue_curve",
-    "fit_power",
-    "fit_exponential",
-    "t_eps",
-    "delta_eps",
-]
-
 SIGNAL_SIGMA = 3.0  # positive-signal filter: keep points with mean_gap > 3*std_err
 
 

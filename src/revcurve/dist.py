@@ -29,19 +29,6 @@ import numpy as np
 
 from .empirical import Sample
 
-__all__ = [
-    "InfeasibleParametersError",
-    "SearchBudgetError",
-    "OptResult",
-    "FinitePMF",
-    "TailRuleDist",
-    "ContinuousDist",
-    "Distribution",
-    "zoo",
-    "zoo_names",
-    "parse_dist",
-]
-
 _MASS_TOL = 1e-12
 # budget of the continuous optimum search
 _OPT_GRID_POINTS = 4096

@@ -13,14 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Sample",
-    "EmpiricalDist",
-    "empirical_dist",
-    "dkw_bound",
-    "sup_cdf_deviation",
-]
-
 
 @dataclass(frozen=True)
 class Sample:

@@ -40,23 +40,6 @@ import numpy as np
 
 from .empirical import EmpiricalDist
 
-__all__ = [
-    "GrowthFns",
-    "Learner",
-    "LearnerProcessError",
-    "erm",
-    "truncated_erm",
-    "capped_erm",
-    "structural_erm",
-    "make_erm",
-    "make_truncated",
-    "make_capped",
-    "make_structural",
-    "make_constant",
-    "make_subprocess",
-    "parse_learner",
-]
-
 
 class LearnerProcessError(RuntimeError):
     """A subprocess learner failed or produced unparseable output."""
@@ -64,7 +47,7 @@ class LearnerProcessError(RuntimeError):
 
 @dataclass(frozen=True)
 class GrowthFns:
-    """Price-cap growth g(n) and confidence scale f(n), with f(n)^2 * n >= g(n) for n >= n0.
+    """Price-cap growth g(n) and confidence scale f(n), with f(n)^2 * n >= g(n).
 
     An omitted name is taken from the function itself (its __name__, else its repr).
     """
@@ -73,7 +56,6 @@ class GrowthFns:
     f: Callable[[int], float]
     g_name: Optional[str] = None
     f_name: Optional[str] = None
-    n0: int = 1
 
     def __post_init__(self):
         for attr, fn in (("g_name", self.g), ("f_name", self.f)):
@@ -82,7 +64,7 @@ class GrowthFns:
 
 
 def default_growth() -> GrowthFns:
-    # g = sqrt(n), f = n^-1/4 satisfies f^2 * n = g with equality from n0 = 1
+    # g = sqrt(n), f = n^-1/4 satisfies f^2 * n = g with equality
     return GrowthFns(g=_g_sqrt, f=_f_quarter, g_name="sqrt", f_name="n^-0.25")
 
 
@@ -116,7 +98,6 @@ class Learner:
     name: str
     decide: Callable[[np.ndarray, int, Optional[np.random.Generator]], float]
     deterministic: bool = True
-    config: Optional[GrowthFns] = None
     decide_counts: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
 
     def __post_init__(self):
@@ -377,8 +358,8 @@ class _Counts:
         return self.rule.on_counts(values, counts, n)
 
 
-def _learner(name: str, rule: _Rule | _Constant, config: GrowthFns | None = None) -> Learner:
-    return Learner(name=name, decide=rule, config=config, decide_counts=_Counts(rule))
+def _learner(name: str, rule: _Rule | _Constant) -> Learner:
+    return Learner(name=name, decide=rule, decide_counts=_Counts(rule))
 
 
 def make_erm() -> Learner:
@@ -391,12 +372,12 @@ def make_truncated() -> Learner:
 
 def make_capped(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return _learner(f"capped[g={growth.g_name}]", _Rule(cap=growth.g), growth)
+    return _learner(f"capped[g={growth.g_name}]", _Rule(cap=growth.g))
 
 
 def make_structural(growth: GrowthFns | None = None) -> Learner:
     growth = growth or default_growth()
-    return _learner(f"structural[f={growth.f_name}]", _Rule(scale=growth.f), growth)
+    return _learner(f"structural[f={growth.f_name}]", _Rule(scale=growth.f))
 
 
 def make_constant(price: float) -> Learner:

@@ -251,6 +251,16 @@ class TestCurveCommand:
         assert code == 2 and "cannot read config" in err and "absent.json" in err
         assert not out.exists()
 
+    def test_unreadable_dist_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "absent" / "d.json"
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", str(path), "--grid", "10,20", "--trials", "10", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and f"cannot read --dist file {str(path)!r}" in err
+        assert not out.exists()
+
 
 class TestSeedPrecedence:
     def test_env_var_overrides_default(self, tmp_path, capsys, monkeypatch):
@@ -449,6 +459,11 @@ class TestCoinAndFit:
             fh.write("10,100,0.0,0.0,0\n")
         code, _, _ = run_cli(["fit", "--csv", str(path), "--model", "power"], capsys)
         assert code == 2
+
+    def test_fit_on_an_unreadable_csv_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "c.csv"
+        code, _, err = run_cli(["fit", "--csv", str(path)], capsys)
+        assert code == 2 and f"cannot read --csv file {str(path)!r}" in err
 
 
 class TestDeclaredFlags:

@@ -306,10 +306,14 @@ class TestGrowthFns:
             assert g.f(n) ** 2 * n == pytest.approx(g.g(n), rel=1e-12)
 
     def test_parsed_growth_constraint(self):
+        # the parsed learner prices as structural ERM with f(n) = n^-0.25, and that f meets the default g
         lr = parse_learner("structural:f=n^-0.25")
-        cfg = lr.config
-        for n in range(cfg.n0, 100):
-            assert cfg.f(n) ** 2 * n >= cfg.g(n) - 1e-12
+        f, g = (lambda m: m ** -0.25), default_growth().g
+        rng = np.random.default_rng(11)
+        for n in range(1, 100):
+            assert f(n) ** 2 * n >= g(n) - 1e-12
+            vals = rng.random(n) * 10
+            assert lr.decide(vals, n, None) == structural_erm(e(vals), n, f)
 
 
     def test_custom_functions_name_the_learner(self):
@@ -351,13 +355,15 @@ class TestParseLearner:
             parse_learner(spec)
 
     def test_capped_custom_power(self):
+        # every value is above the cap g(100) = 10, so the cap itself is the price
         lr = parse_learner("capped:g=n^0.5")
-        assert lr.config.g(100) == pytest.approx(10.0)
+        assert lr.decide(np.full(100, 50.0), 100, None) == pytest.approx(10.0)
 
     def test_capped_log(self):
+        # the cap is max(ln n, 1)
         lr = parse_learner("capped:g=log")
-        assert lr.config.g(1) == 1.0
-        assert lr.config.g(10**5) == pytest.approx(math.log(10**5))
+        assert lr.decide(np.full(1, 50.0), 1, None) == 1.0
+        assert lr.decide(np.full(10**5, 50.0), 10**5, None) == pytest.approx(math.log(10**5))
 
 
 class TestSubprocessLearner:

@@ -5,6 +5,7 @@ some earlier test has already imported every module.
 """
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -23,6 +24,24 @@ def fresh(code: str, *args: str) -> str:
 def test_each_public_name_is_its_home_modules_object(name):
     home = importlib.import_module(f"revcurve.{revcurve._HOME[name]}")
     assert getattr(revcurve, name) is getattr(home, name)
+
+
+HOME_MODULES = ("dist", "learners", "empirical", "curves", "adversary")
+
+
+@pytest.mark.parametrize("module", HOME_MODULES)
+def test_every_public_definition_is_in_the_package_list(module):
+    """A class or function a home module defines without a leading underscore is a public name of the package."""
+    home = importlib.import_module(f"revcurve.{module}")
+    assert not hasattr(home, "__all__")
+    defined = {
+        name for name, value in vars(home).items()
+        if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == home.__name__
+    }
+    assert defined
+    for name in defined:
+        assert revcurve._HOME.get(name) == module and getattr(revcurve, name) is getattr(home, name), name
 
 
 def test_star_import_binds_every_public_name():
@@ -53,6 +72,11 @@ print(json.dumps(sorted(m for m in ("revcurve.adversary", "revcurve.curves") if 
 
 def test_parsing_specs_loads_neither_curves_nor_adversary():
     assert json.loads(fresh(LOADED_AFTER_PARSING)) == []
+
+
+def test_import_alone_loads_no_numpy_and_no_submodule():
+    loaded = json.loads(fresh("import json, sys, revcurve; print(json.dumps(sorted(sys.modules)))"))
+    assert [m for m in loaded if m == "numpy" or m.startswith(("numpy.", "revcurve."))] == []
 
 
 def test_curve_command_loads_no_adversary(tmp_path):
