@@ -25,8 +25,8 @@ _HOMES = {
     "dist": """ContinuousDist Distribution FinitePMF InfeasibleParametersError OptResult SearchBudgetError TailRuleDist
         parse_dist tally two_point zoo zoo_names""",
     "empirical": "EmpiricalDist Sample dkw_bound empirical_dist sup_cdf_deviation",
-    "learners": """GrowthFns Learner LearnerProcessError capped_erm default_growth erm make_capped make_constant
-        make_erm make_structural make_subprocess make_truncated parse_learner structural_erm truncated_erm""",
+    "learners": """Learner LearnerProcessError capped_erm erm make_capped make_constant make_erm make_structural
+        make_subprocess make_truncated parse_learner structural_erm truncated_erm""",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)

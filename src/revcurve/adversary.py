@@ -308,17 +308,17 @@ def uniform_gadget(x: float, q: float, p: float, gamma: Optional[float] = None) 
     """Validate and derive the gadget geometry; gamma=None picks min(p, x-x_pq)/50."""
     if not (0.5 < x <= 1.0):
         raise InfeasibleParametersError(f"x = {x!r} outside (1/2, 1]")
-    if q < 0.5:
-        raise InfeasibleParametersError(f"q = {q!r} below 1/2")
-    if p <= 0.0:
+    if not q >= 0.5:  # written so that NaN fails, as below
+        raise InfeasibleParametersError(f"q = {q!r} must be at least 1/2")
+    if not p > 0.0:
         raise InfeasibleParametersError(f"p = {p!r} must be positive")
     x_pq = q * x / (p + q)
     if x_pq <= 0.5:
         raise InfeasibleParametersError(f"x_pq = {x_pq!r} <= 1/2 (p too large for this x, q)")
     if gamma is None:
         gamma = min(p, x - x_pq) / 50.0
-    if gamma <= 0.0:
-        raise InfeasibleParametersError("gamma must be positive")
+    if not gamma > 0.0:
+        raise InfeasibleParametersError(f"gamma must be positive, got {gamma!r}")
     if gamma > min(p, x - x_pq) / 20.0:
         raise InfeasibleParametersError(
             f"gamma = {gamma!r} fails the smallness check gamma <= min(p, x - x_pq)/20"
@@ -447,9 +447,10 @@ def coin_game(p: float, gamma: float, c: float, trials: int, rng: np.random.Gene
     if not (0.0 < gamma < p) or p + gamma >= 1.0:
         raise ValueError("need 0 < gamma < p and p + gamma < 1")
     _check_count("trials", trials)
-    n = math.ceil(c * p / gamma**2)
-    if n < 1:
-        raise ValueError("sample size c*p/gamma^2 must be >= 1")
+    size = c * p / gamma**2
+    if not 0.0 < size < 2.0**63:  # n = ceil(size) must be >= 1 and fit in an int64
+        raise ValueError(f"c = {c!r} makes c*p/gamma^2 = {size!r}, but the sample size must be >= 1 and below 2^63")
+    n = math.ceil(size)
     sigma = np.where(rng.random(trials) < 0.5, -1, 1)
     counts = rng.binomial(n, p + sigma * gamma)
     guesses = np.where(counts >= n * p, 1, -1)
@@ -494,11 +495,13 @@ def exp_lb_witness(
     distribution loses q^n * (c-1) * p / 2 through the all-p sample event,
     q = 1 - c*p/p_prime.
     """
-    if not (0 < p < p_prime) or c <= 1.0 or c * p >= p_prime:
-        raise ValueError("need 0 < p < p_prime, c > 1, and c*p < p_prime")
+    if not (0 < p < p_prime and c > 1.0 and c * p < p_prime):
+        raise ValueError(f"need 0 < p < p_prime, c > 1, and c*p < p_prime, got p={p!r}, p_prime={p_prime!r}, c={c!r}")
     q = 1.0 - c * p / p_prime
     out = []
     for n in n_grid:
+        if not (n >= 1 and n % 1 == 0):
+            raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
         n = int(n)
         a_n = float(np.mean(_outputs(learner, np.full(n, p), trials, rng) == p))
         if a_n <= 0.5:

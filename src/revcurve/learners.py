@@ -33,7 +33,7 @@ import functools
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,29 +43,6 @@ from .empirical import EmpiricalDist
 
 class LearnerProcessError(RuntimeError):
     """A subprocess learner failed or produced unparseable output."""
-
-
-@dataclass(frozen=True)
-class GrowthFns:
-    """Price-cap growth g(n) and confidence scale f(n), with f(n)^2 * n >= g(n).
-
-    An omitted name is taken from the function itself (its __name__, else its repr).
-    """
-
-    g: Callable[[int], float]
-    f: Callable[[int], float]
-    g_name: Optional[str] = None
-    f_name: Optional[str] = None
-
-    def __post_init__(self):
-        for attr, fn in (("g_name", self.g), ("f_name", self.f)):
-            if getattr(self, attr) is None:
-                object.__setattr__(self, attr, getattr(fn, "__name__", None) or repr(fn))
-
-
-def default_growth() -> GrowthFns:
-    # g = sqrt(n), f = n^-1/4 satisfies f^2 * n = g with equality
-    return GrowthFns(g=_g_sqrt, f=_f_quarter, g_name="sqrt", f_name="n^-0.25")
 
 
 def _g_sqrt(n: int) -> float:
@@ -172,6 +149,7 @@ def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float
 # Each rule reads ascending values (shape (K,)), left (shape (..., K)) and the
 # mask of drawn values (None when every value was drawn) of samples of size m,
 # and returns one price per row (shape (...)).  Undrawn values never compete.
+# A cap or scale arrives checked by _Rule.at, as do the windows' below.
 
 
 def _erm_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int):
@@ -179,18 +157,7 @@ def _erm_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray]
     return values[np.argmax(rev, axis=-1)]  # argmax returns the first maximum
 
 
-def _check_cap(cap: float) -> None:
-    if not 0.0 < cap < math.inf:
-        raise ValueError(f"growth function must be positive and finite at n, got {cap!r}")
-
-
-def _check_scale(fn: float) -> None:
-    if not 0.0 <= fn < math.inf:
-        raise ValueError(f"confidence scale must be nonnegative and finite at n, got {fn!r}")
-
-
 def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
-    _check_cap(cap)
     k = int(np.searchsorted(values, cap, side="right"))
     at_cap = int(np.searchsorted(values, cap, side="left"))  # first value >= cap, drawn or not
     count_geq = left[..., at_cap] if at_cap < values.size else np.zeros_like(left[..., 0])
@@ -204,7 +171,6 @@ def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarr
 
 
 def _structural_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, fn: float):
-    _check_scale(fn)
     rev = _revenues(values, left, m)
     # handicap[j] = max over drawn values up to j of rev + u*f(n); value j wins
     # iff its revenue clears the handicap before it plus its own u_j*f(n).  The
@@ -259,7 +225,6 @@ def _erm_span(u: np.ndarray, m: int, k: int) -> slice:
 def _capped_window(u: np.ndarray, m: int, cap: float) -> slice:
     """ERM's span below the cap, stretched to the first value >= cap, whose left
     count the kernel reads as the cap's own."""
-    _check_cap(cap)
     k, at_cap = int(u.searchsorted(cap, "right")), int(u.searchsorted(cap, "left"))
     span = _erm_span(u, m, k) if k else slice(0, 0)
     if at_cap == m:
@@ -279,7 +244,6 @@ def _structural_end(u: np.ndarray, m: int, fn: float) -> int:
     winner costs one block.  Every value of the first block passes, as no
     block precedes it.
     """
-    _check_scale(fn)
     end = (m - 1) % _BLOCK  # of the first block
     at_end, upper = _block_bounds(u, m, m)
     margin = u[end::_BLOCK] * fn
@@ -309,30 +273,42 @@ class _Rule:
     cap: Optional[Callable[[int], float]] = None
     scale: Optional[Callable[[int], float]] = None
 
-    def price(self, values, left, drawn, m, n):
+    def at(self, n: int) -> Optional[float]:
+        """cap(n) or scale(n), None for plain ERM: read once per price, for the window and the kernel both."""
         if self.scale is not None:
-            return _structural_price(values, left, drawn, m, self.scale(n))
+            if not 0.0 <= (fn := self.scale(n)) < math.inf:
+                raise ValueError(f"confidence scale must be nonnegative and finite at n, got {fn!r}")
+            return fn
         if self.cap is not None:
-            return _capped_price(values, left, drawn, m, self.cap(n))
+            if not 0.0 < (cap := self.cap(n)) < math.inf:
+                raise ValueError(f"growth function must be positive and finite at n, got {cap!r}")
+            return cap
+        return None
+
+    def price(self, values, left, drawn, m, x):
+        if self.scale is not None:
+            return _structural_price(values, left, drawn, m, x)
+        if self.cap is not None:
+            return _capped_price(values, left, drawn, m, x)
         return _erm_price(values, left, drawn, m)
 
     def on_sorted(self, e: EmpiricalDist, n: int) -> float:
-        u, m = e.sorted_values, e.n
+        u, m, x = e.sorted_values, e.n, self.at(n)
         if m <= _MIN_BLOCKS * _BLOCK:
             window = slice(None)
         elif self.scale is not None:
-            window = slice(0, _structural_end(u, m, self.scale(n)))
+            window = slice(0, _structural_end(u, m, x))
         elif self.cap is not None:
-            window = _capped_window(u, m, self.cap(n))
+            window = _capped_window(u, m, x)
         else:
             window = _erm_span(u, m, m)
-        return float(self.price(u[window], _left(m)[window], None, m, n))
+        return float(self.price(u[window], _left(m)[window], None, m, x))
 
     def __call__(self, values, n, rng):
         return self.on_sorted(EmpiricalDist.from_values(values), n)
 
     def on_counts(self, values, counts, n):
-        return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts), n), n, n)
+        return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts), n), n, self.at(n))
 
 
 @dataclass(frozen=True)
@@ -370,14 +346,23 @@ def make_truncated() -> Learner:
     return _learner("truncated", _Rule(cap=_g_log))
 
 
-def make_capped(growth: GrowthFns | None = None) -> Learner:
-    growth = growth or default_growth()
-    return _learner(f"capped[g={growth.g_name}]", _Rule(cap=growth.g))
+def _named(fn, name, default, default_name) -> tuple[Callable[[int], float], str]:
+    """fn, else the default, and the name its learner shows: name, else the default's, else __name__, else repr."""
+    if fn is None:
+        fn, name = default, default_name if name is None else name
+    return fn, name if name is not None else getattr(fn, "__name__", None) or repr(fn)
 
 
-def make_structural(growth: GrowthFns | None = None) -> Learner:
-    growth = growth or default_growth()
-    return _learner(f"structural[f={growth.f_name}]", _Rule(scale=growth.f))
+def make_capped(g: Optional[Callable[[int], float]] = None, g_name: Optional[str] = None) -> Learner:
+    """Capped ERM at the price cap g(n), sqrt(n) by default."""
+    g, g_name = _named(g, g_name, _g_sqrt, "sqrt")
+    return _learner(f"capped[g={g_name}]", _Rule(cap=g))
+
+
+def make_structural(f: Optional[Callable[[int], float]] = None, f_name: Optional[str] = None) -> Learner:
+    """Structural ERM with the confidence scale f(n), n^-1/4 by default, so that f(n)^2 n = sqrt(n)."""
+    f, f_name = _named(f, f_name, _f_quarter, "n^-0.25")
+    return _learner(f"structural[f={f_name}]", _Rule(scale=f))
 
 
 def make_constant(price: float) -> Learner:
@@ -469,14 +454,12 @@ def parse_learner(spec: str) -> Learner:
         return make_erm() if name == "erm" else make_truncated()
     if name in ("capped", "structural"):
         key, kind, make = ("g", "growth", make_capped) if name == "capped" else ("f", "confidence", make_structural)
-        growth = default_growth()
-        if arg:
-            got, _, expr = arg.partition("=")
-            if got != key:
-                raise ValueError(f"{name} learner takes {key}=<fn>, got {arg!r}")
-            fn, fn_name = _parse_growth(expr, kind)
-            growth = replace(growth, **{key: fn, f"{key}_name": fn_name})
-        return make(growth)
+        if not arg:
+            return make()
+        got, _, expr = arg.partition("=")
+        if got != key:
+            raise ValueError(f"{name} learner takes {key}=<fn>, got {arg!r}")
+        return make(*_parse_growth(expr, kind))
     if name == "const":
         return make_constant(float(arg))
     if name == "cmd":

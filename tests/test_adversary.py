@@ -399,6 +399,15 @@ class TestUniformGadget:
         with pytest.raises(InfeasibleParametersError, match=named):
             uniform_gadget(x, q, p, gamma)
 
+    @pytest.mark.parametrize("q,p,gamma,named", [
+        (math.nan, 0.05, None, "q = nan"),
+        (0.5, math.nan, None, "p = nan"),
+        (0.5, 0.05, math.nan, "gamma must be positive, got nan"),
+    ])
+    def test_nan_refused_by_name(self, q, p, gamma, named):
+        with pytest.raises(InfeasibleParametersError, match=named):
+            uniform_gadget(1.0, q, p, gamma)
+
 
 class TestGadgetMember:
     def test_mass_conditions(self):
@@ -523,6 +532,12 @@ class TestCoinGame:
         with pytest.raises(ValueError, match="must be >= 1"):
             coin_game(p=0.01, gamma=0.001, c=0.0, trials=10, rng=philox(46))
 
+    @pytest.mark.parametrize("c", [math.inf, 1e300, math.nan])
+    def test_c_without_an_int64_sample_size_refused(self, c):
+        # inf overflowed math.ceil and 1e300 rng.binomial; nan failed in ceil without naming c
+        with pytest.raises(ValueError, match=re.escape(f"c = {c!r} makes c*p/gamma^2")):
+            coin_game(p=0.3, gamma=0.01, c=c, trials=10, rng=philox(46))
+
     @pytest.mark.parametrize("trials", [0, 2.5, 10.0])
     def test_trials_not_a_whole_number_refused(self, trials):
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials!r}"):
@@ -584,3 +599,13 @@ class TestExpLbWitness:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             exp_lb_witness(make_erm(), 1.0, 3.0, 3.5, n_grid=[1], trials=1)
+
+    @pytest.mark.parametrize("c", [math.nan, 1.0])
+    def test_c_not_above_one_refused(self, c):
+        with pytest.raises(ValueError, match=f"c={c!r}"):
+            exp_lb_witness(make_erm(), 1.0, 3.0, c, n_grid=[1], trials=1)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, math.nan, math.inf])
+    def test_grid_size_not_a_whole_number_refused(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"sample size {n!r} in the grid is not a whole number >= 1")):
+            exp_lb_witness(make_erm(), 1.0, 3.0, 2.0, n_grid=[1, n], trials=1)

@@ -406,6 +406,10 @@ class TestGadgetCommand:
         code, _, err = run_cli(["gadget", "--x", "0.6", "--q", "0.5", "--p", "0.5"], capsys)
         assert code == 3 and "x_pq" in err
 
+    def test_nan_q_named_exit_3(self, capsys):
+        code, _, err = run_cli(["gadget", "--x", "1.0", "--q", "nan", "--p", "0.05"], capsys)
+        assert code == 3 and "q = nan" in err
+
 
 class TestCoinAndFit:
     def test_coin_prints_result(self, capsys):
@@ -416,6 +420,11 @@ class TestCoinAndFit:
         assert code == 0
         doc = json.loads(out)
         assert doc["n"] == 10_000 and 0.05 < doc["error_rate"] < 0.3
+
+    @pytest.mark.parametrize("c", ["inf", "1e300", "nan"])
+    def test_coin_c_without_a_sample_size_exit_2(self, c, capsys):
+        code, out, err = run_cli(["coin", "--p", "0.3", "--gamma", "0.01", "--c", c, "--trials", "10"], capsys)
+        assert code == 2 and out == "" and f"c = {float(c)!r}" in err
 
     def test_coin_stdout_keys(self, capsys):
         code, out, _ = run_cli(["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--trials", "100"], capsys)

@@ -29,9 +29,7 @@ from revcurve.curves import (
 )
 from revcurve.dist import ContinuousDist, Distribution, TailRuleDist, parse_dist, two_point, zoo
 from revcurve.learners import (
-    GrowthFns,
     Learner,
-    _f_quarter,
     make_capped,
     make_constant,
     make_erm,
@@ -150,7 +148,7 @@ class TestEstimateGap:
 
     def test_worker_count_invariance_custom_growth(self):
         # the spec "capped:g=sqrt" names the default cap; workers must get g = 3 itself
-        lr = make_capped(GrowthFns(g=_g_three, f=_f_quarter))
+        lr = make_capped(_g_three)
         d = parse_dist("finite:1@0.2,10@0.79,1000@0.01")
         seq = estimate_gap(lr, d, n=200, trials=40, base_seed=3, workers=1)
         par = estimate_gap(lr, d, n=200, trials=40, base_seed=3, workers=2)

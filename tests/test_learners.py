@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from revcurve import learners
 from revcurve.empirical import EmpiricalDist
 from revcurve.learners import (
-    GrowthFns,
     Learner,
     LearnerProcessError,
     capped_erm,
-    default_growth,
     erm,
     make_capped,
     make_constant,
@@ -159,7 +157,7 @@ class TestCountFormMatchesSampleForm:
                 assert price == lr.decide_counts(atoms, row, n) == lr.decide(np.repeat(atoms, row), n, None), spec
 
     def test_custom_growth_has_count_form(self):
-        lr = make_capped(GrowthFns(g=lambda m: 2.5, f=lambda m: 0.1))
+        lr = make_capped(lambda m: 2.5)
         assert lr.decide_counts(np.array([1.0, 2.5, 4.0]), np.array([3, 0, 2]), 5) == lr.decide(
             np.array([1.0, 1.0, 1.0, 4.0, 4.0]), 5, None
         )
@@ -301,14 +299,15 @@ class TestPermutationDeterminism:
 
 class TestGrowthFns:
     def test_default_satisfies_constraint_with_equality(self):
-        g = default_growth()
+        # the builders' own defaults: the cap g(n) = sqrt(n) and the scale f(n) = n^-1/4
+        g, f = make_capped().decide.cap, make_structural().decide.scale
         for n in (1, 2, 10, 1000, 10**6):
-            assert g.f(n) ** 2 * n == pytest.approx(g.g(n), rel=1e-12)
+            assert f(n) ** 2 * n == pytest.approx(g(n), rel=1e-12)
 
     def test_parsed_growth_constraint(self):
         # the parsed learner prices as structural ERM with f(n) = n^-0.25, and that f meets the default g
         lr = parse_learner("structural:f=n^-0.25")
-        f, g = (lambda m: m ** -0.25), default_growth().g
+        f, g = (lambda m: m ** -0.25), make_capped().decide.cap
         rng = np.random.default_rng(11)
         for n in range(1, 100):
             assert f(n) ** 2 * n >= g(n) - 1e-12
@@ -327,11 +326,11 @@ class TestGrowthFns:
             def __repr__(self):
                 return "Scale(0.1)"
 
-        growth = GrowthFns(g=three, f=Scale())
-        assert (growth.g_name, growth.f_name) == ("three", "Scale(0.1)")
-        assert make_capped(growth).name == "capped[g=three]"
-        assert make_structural(growth).name == "structural[f=Scale(0.1)]"
-        assert make_capped(GrowthFns(g=three, f=Scale(), g_name="3")).name == "capped[g=3]"
+        assert make_capped(three).name == "capped[g=three]"
+        assert make_structural(Scale()).name == "structural[f=Scale(0.1)]"
+        assert make_capped(three, g_name="3").name == "capped[g=3]"
+        assert make_structural(Scale(), "0.1").name == "structural[f=0.1]"
+        assert (make_capped().name, make_structural().name) == ("capped[g=sqrt]", "structural[f=n^-0.25]")
 
 
 class TestParseLearner:
@@ -470,7 +469,7 @@ def assert_window_exact(u: np.ndarray, n: int):
     m = u.size
     e = EmpiricalDist(u, m)
     for rule in window_rules(u, n):
-        full = float(rule.price(u, learners._left(m), None, m, n))
+        full = float(rule.price(u, learners._left(m), None, m, rule.at(n)))
         assert rule.on_sorted(e, n) == full, (rule, m, n)
 
 
@@ -532,7 +531,7 @@ class TestNonFiniteGrowthRejected:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("make", [make_capped, make_structural])
     def test_hand_built_growth_rejected_at_pricing(self, make, bad):
-        lr = make(GrowthFns(g=lambda n: bad, f=lambda n: bad, g_name="bad", f_name="bad"))
+        lr = make(lambda n: bad, "bad")
         with pytest.raises(ValueError, match="finite"):
             lr.decide(np.array([1.0, 2.0, 2.0]), 3, None)
         with pytest.raises(ValueError, match="finite"):
@@ -545,7 +544,7 @@ class TestNonFiniteGrowthRejected:
         # so the refusal must come before any block arithmetic touches the zeros
         monkeypatch.setattr(learners, "_MIN_BLOCKS", 0)  # window the 1,000 values (4 blocks)
         values = np.concatenate([np.zeros(500), np.random.default_rng(8).random(500)])
-        lr = make(GrowthFns(g=lambda n: bad, f=lambda n: bad, g_name="bad", f_name="bad"))
+        lr = make(lambda n: bad, "bad")
         with pytest.raises(ValueError, match="finite"):
             lr.decide(values, values.size, None)
 
@@ -555,3 +554,33 @@ class TestNonFiniteGrowthRejected:
         assert lr.decide(np.array([1.0, 2.0]), 1, None) in (1.0, 2.0)  # 1^400 is finite
         with pytest.raises(ValueError, match="finite"):
             lr.decide(np.array([1.0, 2.0]), 100, None)
+
+
+class TestGrowthReadOncePerPrice:
+    """A rule calls its cap or scale once per price: the sorted door's window
+    is cut for the very number its kernel prices with."""
+
+    @staticmethod
+    def counted(make):
+        calls = []
+
+        def fn(n):
+            calls.append(n)
+            return math.sqrt(n) if make is make_capped else n**-0.25
+
+        return make(fn, "counted"), calls
+
+    @pytest.mark.parametrize("make", [make_capped, make_structural])
+    @pytest.mark.parametrize("m", [100, 20_000])  # one block row, and one past 32 blocks of 256 that is windowed
+    def test_once_per_decide(self, make, m):
+        lr, calls = self.counted(make)
+        values = np.random.default_rng(m).random(m) * 2 * math.sqrt(m)
+        assert lr.decide(values, m, None) == make().decide(values, m, None)
+        assert calls == [m]
+
+    @pytest.mark.parametrize("make", [make_capped, make_structural])
+    def test_once_per_count_block(self, make):
+        lr, calls = self.counted(make)
+        counts = np.random.default_rng(3).multinomial(50, [0.2, 0.3, 0.1, 0.4], size=6)
+        assert lr.decide_counts(np.array([1.0, 4.0, 8.0, 20.0]), counts, 50).shape == (6,)
+        assert calls == [50]
