@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import estimate_gap
+from .curves import _sample_sizes, estimate_gap
 from .dist import Distribution, FinitePMF, InfeasibleParametersError, tally
 from .learners import Learner
 
@@ -323,6 +323,8 @@ def uniform_gadget(x: float, q: float, p: float, gamma: Optional[float] = None) 
         raise InfeasibleParametersError(
             f"gamma = {gamma!r} fails the smallness check gamma <= min(p, x - x_pq)/20"
         )
+    if x - gamma**2 == x or x_pq - gamma**2 == x_pq or x_pq + gamma**2 == x_pq:
+        raise InfeasibleParametersError(f"gamma = {gamma!r} is too small: x - gamma^2 or x_pq -/+ gamma^2 rounds to its centre")
     if q + p + gamma >= 1.0:
         raise InfeasibleParametersError("q + p + gamma must stay below 1 to leave anchor mass")
     return GadgetParams(x=x, q=q, p=p, gamma=gamma, x_pq=x_pq, midpoint=(x_pq + x) / 2.0)
@@ -444,8 +446,8 @@ def coin_game(p: float, gamma: float, c: float, trials: int, rng: np.random.Gene
     test's knife edge).  Only the count matters, so trials draw the binomial
     sufficient statistic directly.
     """
-    if not (0.0 < gamma < p) or p + gamma >= 1.0:
-        raise ValueError("need 0 < gamma < p and p + gamma < 1")
+    if not (0.0 < gamma < p) or p + gamma >= 1.0 or gamma**2 == 0.0:
+        raise ValueError(f"need 0 < gamma < p, p + gamma < 1 and gamma^2 > 0 (no underflow), got gamma = {gamma!r}")
     _check_count("trials", trials)
     size = c * p / gamma**2
     if not 0.0 < size < 2.0**63:  # n = ceil(size) must be >= 1 and fit in an int64
@@ -499,10 +501,7 @@ def exp_lb_witness(
         raise ValueError(f"need 0 < p < p_prime, c > 1, and c*p < p_prime, got p={p!r}, p_prime={p_prime!r}, c={c!r}")
     q = 1.0 - c * p / p_prime
     out = []
-    for n in n_grid:
-        if not (n >= 1 and n % 1 == 0):
-            raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
-        n = int(n)
+    for n in _sample_sizes(n_grid):
         a_n = float(np.mean(_outputs(learner, np.full(n, p), trials, rng) == p))
         if a_n <= 0.5:
             out.append(WitnessPoint(n=n, a_n=a_n, witness="point_mass", gap=p / 2.0))

@@ -19,11 +19,11 @@ at once: the sample streams' keys are derived in a batch, count vectors are
 drawn into blocks of rows that decide_counts prices in one call, and the
 range's prices are scored against the law in one call.  A learner stream,
 when one is needed, is still a fresh SeedSequence-backed Generator per trial.
-With workers > 1 a run opens one process pool for its whole grid, forked on
-Linux and spawned elsewhere, with no more workers than jobs; each worker
-receives the caller's learner and distribution once, pickled and checked
-before any process starts, and its jobs in batches that still spread each
-grid point over every worker.
+Each grid point's trials are cut into one job per worker, with no more workers
+than trials.  One worker runs the jobs in process; more run them on one pool
+for the whole grid, forked on Linux and spawned elsewhere, one message per job,
+each worker given the caller's learner, distribution and base seed once,
+pickled and checked before any process starts.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numbers
 import pickle
 import sys
 from dataclasses import asdict, dataclass
-from itertools import islice, repeat
+from itertools import islice
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -81,18 +81,20 @@ class LearningCurve:
                 fh.write(f"{p.n},{p.trials},{p.mean_gap!r},{p.std_err!r},{self.base_seed}\n")
 
     @staticmethod
-    def from_csv(path, learner_name: str = "?", dist_label: str = "?") -> "LearningCurve":
-        points = []
-        seed = 0
+    def from_csv(path) -> "LearningCurve":
+        points, seed = [], 0
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "n,trials,mean_gap,std_err,seed":
                 raise ValueError(f"unexpected curve CSV header: {header!r}")
-            for line in fh:
-                n, trials, gap, err, seed_s = line.strip().split(",")
-                points.append(CurvePoint(n=int(n), mean_gap=float(gap), std_err=float(err), trials=int(trials)))
-                seed = int(seed_s)
-        return LearningCurve(learner_name, dist_label, tuple(points), seed)
+            for line_no, line in enumerate(fh, 2):
+                try:
+                    n, trials, gap, err, seed_s = line.strip().split(",")
+                    points.append(CurvePoint(n=int(n), mean_gap=float(gap), std_err=float(err), trials=int(trials)))
+                    seed = int(seed_s)
+                except ValueError as exc:
+                    raise ValueError(f"curve CSV {path}, line {line_no}: {exc}") from None
+        return LearningCurve("?", "?", tuple(points), seed)
 
     def to_json(self) -> str:
         doc = {
@@ -160,7 +162,7 @@ def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, b
     return dist.revenue(prices)
 
 
-_worker_inputs: tuple[Learner, Distribution] | None = None  # set once in each pool worker
+_worker_inputs: tuple[Learner, Distribution, int] | None = None  # set once in each pool worker
 
 
 def _init_worker(payload: bytes) -> None:
@@ -168,8 +170,8 @@ def _init_worker(payload: bytes) -> None:
     _worker_inputs = pickle.loads(payload)
 
 
-def _worker_revenues(n: int, start: int, stop: int, base_seed: int) -> np.ndarray:
-    learner, dist = _worker_inputs
+def _worker_revenues(n: int, start: int, stop: int) -> np.ndarray:
+    learner, dist, base_seed = _worker_inputs
     return _trial_revenues(learner, dist, n, range(start, stop), base_seed)
 
 
@@ -219,10 +221,7 @@ def expected_revenue_curve(
     """(n, mean revenue, std err) per grid point, all points in one pool when
     workers > 1; the consistency harness for distributions whose optimal
     revenue is infinite."""
-    for n in grid:
-        if not (n >= 1 and n % 1 == 0):
-            raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
-    grid = [int(n) for n in grid]
+    grid = _sample_sizes(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ValueError("sample-size grid must be nonempty and strictly increasing")
     if not (isinstance(trials, numbers.Integral) and trials >= 2):
@@ -231,17 +230,18 @@ def expected_revenue_curve(
         raise ValueError(f"base seed {base_seed!r} is not an integer >= 0")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be >= 1, got {workers!r} (a whole number of processes)")
-    if workers == 1:
-        revs = [_trial_revenues(learner, dist, n, range(trials), base_seed) for n in grid]
+    size = min(workers, trials)
+    cuts = [trials * i // size for i in range(size + 1)]
+    jobs = [(n, start, stop) for n in grid for start, stop in zip(cuts, cuts[1:])]
+    if size == 1:
+        parts = [_trial_revenues(learner, dist, n, range(start, stop), base_seed) for n, start, stop in jobs]
     else:
         try:
-            payload = pickle.dumps((learner, dist))
+            payload = pickle.dumps((learner, dist, base_seed))
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ValueError(f"workers > 1 needs a picklable learner and distribution ({exc}); use workers=1") from exc
         from concurrent.futures import ProcessPoolExecutor  # here, so in-process runs skip its import cost
 
-        chunk = max(1, math.ceil(trials / (workers * 4)))
-        jobs = [(n, start, min(start + chunk, trials)) for n in grid for start in range(0, trials, chunk)]
         # A forked worker starts in milliseconds with the modules and heap
         # thresholds already in place; a spawned one starts a fresh interpreter
         # and imports NumPy (~0.35 s).  Forking is safe here: workers run no BLAS
@@ -249,14 +249,18 @@ def expected_revenue_curve(
         # no lock held by NumPy's idle BLAS thread is needed in the child.
         # macOS keeps spawn, as its system frameworks are unsafe after fork.
         context = get_context("fork" if sys.platform.startswith("linux") else "spawn")
-        size, per_n = min(workers, len(jobs)), len(jobs) // len(grid)
-        # about four messages per worker, but each grid point in at least `size`
-        # of them, so the largest n, which costs the most, still runs on every worker
-        chunksize = max(1, min(math.ceil(len(jobs) / (size * 4)), per_n // size))
         with ProcessPoolExecutor(size, context, initializer=_init_worker, initargs=(payload,)) as pool:
-            parts = list(pool.map(_worker_revenues, *zip(*jobs), repeat(base_seed), chunksize=chunksize))
-        revs = [np.concatenate(parts[i : i + per_n]) for i in range(0, len(parts), per_n)]
+            parts = list(pool.map(_worker_revenues, *zip(*jobs)))
+    revs = [np.concatenate(parts[i : i + size]) for i in range(0, len(parts), size)]
     return [(n, *_mean_se(r)) for n, r in zip(grid, revs)]
+
+
+def _sample_sizes(grid: Sequence[int]) -> list[int]:
+    """The grid as ints, refusing a sample size that is not a whole number >= 1."""
+    for n in grid:
+        if not (n >= 1 and n % 1 == 0):
+            raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
+    return [int(n) for n in grid]
 
 
 def _mean_se(revs: np.ndarray) -> tuple[float, float]:

@@ -408,6 +408,22 @@ class TestUniformGadget:
         with pytest.raises(InfeasibleParametersError, match=named):
             uniform_gadget(1.0, q, p, gamma)
 
+    @pytest.mark.parametrize("p,gamma", [(0.05, 1e-9), (1e-12, None)])  # the default gamma is 2e-14 at p = 1e-12
+    def test_gamma_whose_square_rounds_away_refused(self, p, gamma):
+        # x - gamma^2 == x built members that failed their own condition 1 check
+        with pytest.raises(InfeasibleParametersError, match=r"gamma = .* is too small"):
+            uniform_gadget(1.0, 0.5, p, gamma)
+
+    @pytest.mark.parametrize("gamma", np.geomspace(1e-9, 1e-7, 21))
+    def test_every_accepted_gamma_builds_members_that_verify(self, gamma):
+        try:
+            gp = uniform_gadget(1.0, 0.5, 0.05, float(gamma))
+        except InfeasibleParametersError as exc:
+            assert "is too small" in str(exc)
+            return
+        for sigma in (-1, 1):
+            assert verify_gadget(gp, gadget_member(gp, sigma), sigma).passed
+
 
 class TestGadgetMember:
     def test_mass_conditions(self):
@@ -543,6 +559,11 @@ class TestCoinGame:
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials!r}"):
             coin_game(p=0.1, gamma=0.01, c=1.0, trials=trials, rng=philox(47))
 
+    def test_gamma_whose_square_underflows_refused(self):
+        # 1e-200 passes 0 < gamma < p, but c*p/gamma^2 divided by zero
+        with pytest.raises(ValueError, match=re.escape("gamma^2 > 0 (no underflow), got gamma = 1e-200")):
+            coin_game(p=0.3, gamma=1e-200, c=1.0, trials=10, rng=philox(48))
+
 
 @pytest.mark.parametrize("field,value", [
     ("trials_per_dataset", 0), ("trials_per_dataset", 1.5), ("max_datasets_per_level", 0),
@@ -604,6 +625,11 @@ class TestExpLbWitness:
     def test_c_not_above_one_refused(self, c):
         with pytest.raises(ValueError, match=f"c={c!r}"):
             exp_lb_witness(make_erm(), 1.0, 3.0, c, n_grid=[1], trials=1)
+
+    def test_grid_in_any_order(self):
+        # only a curve needs a strictly increasing grid
+        pts = exp_lb_witness(make_erm(), 1.0, 3.0, 2.0, n_grid=[5, 2.0, 5], trials=1)
+        assert [pt.n for pt in pts] == [5, 2, 5] and all(type(pt.n) is int for pt in pts)
 
     @pytest.mark.parametrize("n", [2.5, 0, -3, math.nan, math.inf])
     def test_grid_size_not_a_whole_number_refused(self, n):

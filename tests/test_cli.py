@@ -410,6 +410,12 @@ class TestGadgetCommand:
         code, _, err = run_cli(["gadget", "--x", "1.0", "--q", "nan", "--p", "0.05"], capsys)
         assert code == 3 and "q = nan" in err
 
+    @pytest.mark.parametrize("args", [["--p", "0.05", "--gamma", "1e-9"], ["--p", "1e-12"]])
+    def test_gamma_whose_square_rounds_away_exit_3(self, args, capsys):
+        # x - gamma^2 rounded to x, so the gadget's own members failed condition 1 (exit 2)
+        code, out, err = run_cli(["gadget", "--x", "1.0", "--q", "0.5", *args], capsys)
+        assert code == 3 and out == "" and "is too small" in err
+
 
 class TestCoinAndFit:
     def test_coin_prints_result(self, capsys):
@@ -425,6 +431,10 @@ class TestCoinAndFit:
     def test_coin_c_without_a_sample_size_exit_2(self, c, capsys):
         code, out, err = run_cli(["coin", "--p", "0.3", "--gamma", "0.01", "--c", c, "--trials", "10"], capsys)
         assert code == 2 and out == "" and f"c = {float(c)!r}" in err
+
+    def test_coin_gamma_whose_square_underflows_exit_2(self, capsys):
+        code, out, err = run_cli(["coin", "--p", "0.3", "--gamma", "1e-200", "--c", "1"], capsys)
+        assert code == 2 and out == "" and "got gamma = 1e-200" in err
 
     def test_coin_stdout_keys(self, capsys):
         code, out, _ = run_cli(["coin", "--p", "0.3", "--gamma", "0.05", "--c", "4", "--trials", "100"], capsys)
@@ -460,6 +470,13 @@ class TestCoinAndFit:
         path.write_text("n,gap\n10,0.5\n")
         code, _, err = run_cli(["fit", "--csv", str(path)], capsys)
         assert code == 2 and "header" in err
+
+    @pytest.mark.parametrize("row", ["10,100,0.5", "10,100,0.5,0.1,x", "ten,100,0.5,0.1,0", ""])
+    def test_fit_on_a_malformed_row_names_the_file_and_line_exit_2(self, row, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text(f"n,trials,mean_gap,std_err,seed\n10,100,0.5,0.1,0\n{row}\n")
+        code, out, err = run_cli(["fit", "--csv", str(path)], capsys)
+        assert code == 2 and out == "" and f"curve CSV {path}, line 3: " in err
 
     def test_fit_insufficient_data_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.csv"

@@ -63,8 +63,8 @@ def exp_mean_10(cdf=_exp10_cdf, quantile=_exp10_quantile):
 
 def record_pools(monkeypatch) -> list:
     """Wrap ProcessPoolExecutor so each pool records its worker count, start
-    context, map chunk size and the processes it started; the real class does
-    the work."""
+    context, map chunk size and job count, and the processes it started; the
+    real class does the work."""
     pools = []
     real = concurrent.futures.ProcessPoolExecutor
 
@@ -72,10 +72,11 @@ def record_pools(monkeypatch) -> list:
         def __init__(self, max_workers=None, mp_context=None, *args, **kwargs):
             super().__init__(max_workers, mp_context, *args, **kwargs)
             self.max_workers, self.mp_context, self.started, self.chunksize = max_workers, mp_context, 0, None
+            self.jobs = None
             pools.append(self)
 
         def map(self, fn, *iterables, chunksize=1, **kwargs):
-            self.chunksize = chunksize
+            self.chunksize, self.jobs = chunksize, len(iterables[0])
             return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
         def shutdown(self, *args, **kwargs):
@@ -351,30 +352,34 @@ class TestCountPath:
         ],
     )
     def test_worker_count_invariance_capped_and_structural(self, make, law):
-        # 301 trials: not a multiple of the pool's chunk (38) or the 128-row count block
+        # 301 trials: 150 + 151 between 2 workers, and not a multiple of the 128-row count block
         d = zoo(law)
         seq = learning_curve(make(), d, [16, 64, 256], trials=301, base_seed=17, workers=1)
         par = learning_curve(make(), d, [16, 64, 256], trials=301, base_seed=17, workers=2)
         assert seq == par
 
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    # 2 and 3 trials leave fewer trials than some worker counts; 7 and 301 cut into uneven pieces
+    @pytest.mark.parametrize("trials", [2, 3, 7, 301])
     @pytest.mark.parametrize(
-        "law,grid,chunksize",
+        "law,grid",
         [
-            # 3 points of 8 jobs each with 2 workers: 24 jobs go as chunks of 3
-            ("erm_hard", [32, 64, 128], 3),  # count path: 22 atoms, n >= K
-            ("finite_40", [5, 10, 20], 3),  # tally path: n < K <= 128
-            ("uniform01", [16, 64, 256], 3),  # sample path
-            # 8 points: chunks of 8 would put the costliest point on one worker,
-            # so each point goes as 2 chunks of 4, one per worker
-            ("uniform01", [16 << k for k in range(8)], 4),
+            ("erm_hard", [32, 64, 128]),  # count path: 22 atoms, n >= K
+            ("finite_40", [5, 10, 20]),  # tally path: n < K <= 128
+            ("uniform01", [16, 64, 256]),  # sample path
+            ("uniform01", [16 << k for k in range(8)]),  # 8 points, the costliest last
         ],
     )
-    def test_batched_pool_messages_keep_the_bits(self, monkeypatch, law, grid, chunksize):
+    def test_batched_pool_messages_keep_the_bits(self, monkeypatch, law, grid, trials, workers):
+        # one job per worker per grid point, never more workers than trials, each job one message,
+        # so every point, the costliest included, runs on every worker
         pools = record_pools(monkeypatch)
         d = zoo("finite", points=[(float(v), 1 / 40) for v in range(1, 41)]) if law == "finite_40" else zoo(law)
-        par = learning_curve(make_erm(), d, grid, trials=301, base_seed=23, workers=2)
-        assert len(pools) == 1 and pools[0].chunksize == chunksize
-        assert par.to_json() == learning_curve(make_erm(), d, grid, trials=301, base_seed=23, workers=1).to_json()
+        par = learning_curve(make_erm(), d, grid, trials=trials, base_seed=23, workers=workers)
+        size = min(workers, trials)
+        assert len(pools) == 1 and pools[0].max_workers == size
+        assert pools[0].chunksize == 1 and pools[0].jobs == len(grid) * size
+        assert par.to_json() == learning_curve(make_erm(), d, grid, trials=trials, base_seed=23, workers=1).to_json()
 
     def test_worker_count_invariance_two_point(self):
         d = two_point(1.0, 3.0, 2.0)
