@@ -10,10 +10,12 @@ same flags.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -179,12 +181,13 @@ def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
 def _parse_phi(spec: str):
     if spec in ("inv", "1/j"):
         return lambda j: 1.0 / j
-    if spec.startswith("pow:"):
-        expo = float(spec[4:])
-        return lambda j: float(j) ** expo
-    if spec.startswith("const:"):
-        v = float(spec[6:])
-        return lambda j: v
+    for prefix in ("pow:", "const:"):
+        if spec.startswith(prefix):
+            try:
+                x = float(spec[len(prefix) :])
+            except ValueError:
+                raise ConfigError(f"phi spec {spec!r} needs a real number after {prefix!r}") from None
+            return (lambda j: float(j) ** x) if prefix == "pow:" else (lambda j: x)
     raise ConfigError(f"unknown phi spec {spec!r} (use inv, pow:<a>, const:<v>)")
 
 
@@ -366,5 +369,27 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Console entry: main(), then end the process once its outputs are flushed.
+
+    The exit handlers still run (multiprocessing's finalizers unregister a
+    spawned pool's semaphores), and what they print is flushed too, but the
+    interpreter's teardown, which frees every module and object one by one, is
+    skipped.  A thread still alive or a failed flush takes the ordinary exit,
+    which joins the one and reports the other.
+    """
+    code = main()
+    if threading.active_count() != 1:
+        sys.exit(code)
+    atexit._run_exitfuncs()  # and unregisters them, so the ordinary exit below does not run them twice
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with the descriptor closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -36,7 +36,6 @@ import pickle
 import sys
 from dataclasses import asdict, dataclass
 from itertools import islice
-from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
@@ -162,6 +161,14 @@ def _trial_revenues(learner: Learner, dist: Distribution, n: int, trial_range, b
     return dist.revenue(prices)
 
 
+# A forked worker starts in milliseconds with the modules and heap thresholds
+# already in place; a spawned one starts a fresh interpreter and imports NumPy
+# (~0.35 s).  Forking is safe here: workers run no BLAS routine (the loop sorts,
+# draws, cumsums, argmaxes and searchsorts), so no lock held by NumPy's idle
+# BLAS thread is needed in the child.  macOS keeps spawn, as its system
+# frameworks are unsafe after fork.
+_START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
+
 _worker_inputs: tuple[Learner, Distribution, int] | None = None  # set once in each pool worker
 
 
@@ -240,15 +247,11 @@ def expected_revenue_curve(
             payload = pickle.dumps((learner, dist, base_seed))
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ValueError(f"workers > 1 needs a picklable learner and distribution ({exc}); use workers=1") from exc
-        from concurrent.futures import ProcessPoolExecutor  # here, so in-process runs skip its import cost
+        # here, so an in-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        # A forked worker starts in milliseconds with the modules and heap
-        # thresholds already in place; a spawned one starts a fresh interpreter
-        # and imports NumPy (~0.35 s).  Forking is safe here: workers run no BLAS
-        # routine (the loop sorts, draws, cumsums, argmaxes and searchsorts), so
-        # no lock held by NumPy's idle BLAS thread is needed in the child.
-        # macOS keeps spawn, as its system frameworks are unsafe after fork.
-        context = get_context("fork" if sys.platform.startswith("linux") else "spawn")
+        context = get_context(_START_METHOD)
         with ProcessPoolExecutor(size, context, initializer=_init_worker, initargs=(payload,)) as pool:
             parts = list(pool.map(_worker_revenues, *zip(*jobs)))
     revs = [np.concatenate(parts[i : i + size]) for i in range(0, len(parts), size)]

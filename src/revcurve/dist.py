@@ -584,7 +584,10 @@ def parse_dist(spec: str) -> Distribution:
         pts = []
         for item in arg_str.split(","):
             v, _, m = item.partition("@")
-            pts.append((float(v), float(m)))
+            try:
+                pts.append((float(v), float(m)))
+            except ValueError:
+                raise ValueError(f"zoo law 'finite': atom {item!r} is not <value>@<mass> in real numbers") from None
         return zoo("finite", points=pts)
     kwargs = {}
     if arg_str:
@@ -593,5 +596,9 @@ def parse_dist(spec: str) -> Distribution:
             k = {"pp": "p_prime"}.get(k.strip(), k.strip())
             if k in kwargs:
                 raise ValueError(f"zoo law {name!r}: key {k!r} given twice")
-            kwargs[k] = int(v) if k == "truncation_depth" else float(v)
+            number, kind = (int, "an integer") if k == "truncation_depth" else (float, "a real number")
+            try:
+                kwargs[k] = number(v)
+            except ValueError:
+                raise ValueError(f"zoo law {name!r}: key {k!r} must be {kind}, got {v!r}") from None
     return zoo(name, **kwargs)

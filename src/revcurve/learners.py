@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import shlex
-import subprocess
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -380,6 +378,8 @@ class _SubprocessDecide:
     command: tuple[str, ...]
 
     def __call__(self, values, n, rng):
+        import subprocess  # here, so a process that runs no cmd: learner skips its import
+
         payload = f"{n}\n" + " ".join(repr(float(v)) for v in values) + "\n"
         try:
             out = subprocess.run(
@@ -403,11 +403,14 @@ class _SubprocessDecide:
 
 
 def make_subprocess(command: list[str] | tuple[str, ...], deterministic: bool = False) -> Learner:
+    import shlex
+
     cmd = tuple(command)
     return Learner(name=f"cmd[{shlex.join(cmd)}]", decide=_SubprocessDecide(cmd), deterministic=deterministic)
 
 
-def _parse_growth(expr: str, kind: str) -> tuple[Callable[[int], float], str]:
+def _parse_growth(name: str, key: str, expr: str) -> tuple[Callable[[int], float], str]:
+    """The function the {key}=<fn> argument of a capped or structural spec names, and its label."""
     expr = expr.strip()
     if expr == "sqrt":
         return _g_sqrt, "sqrt"
@@ -415,11 +418,14 @@ def _parse_growth(expr: str, kind: str) -> tuple[Callable[[int], float], str]:
         return _g_log, "log"
     for prefix, fn in (("n^", _PowerFn), ("const:", _ConstFn)):
         if expr.startswith(prefix):
-            x = float(expr[len(prefix) :])
+            try:
+                x = float(expr[len(prefix) :])
+            except ValueError:
+                x = math.nan  # refused below with the non-finite numbers
             if not math.isfinite(x):
-                raise ValueError(f"{kind} function spec {expr!r} needs a finite number")
+                raise ValueError(f"{name} learner: {key}={expr!r} needs a finite number after {prefix!r}")
             return fn(x), expr
-    raise ValueError(f"cannot parse {kind} function spec {expr!r}")
+    raise ValueError(f"{name} learner: cannot parse {key}={expr!r} (use sqrt, log, n^<a> or const:<v>)")
 
 
 @dataclass(frozen=True)
@@ -453,17 +459,23 @@ def parse_learner(spec: str) -> Learner:
     if name in ("erm", "truncated") and not arg:
         return make_erm() if name == "erm" else make_truncated()
     if name in ("capped", "structural"):
-        key, kind, make = ("g", "growth", make_capped) if name == "capped" else ("f", "confidence", make_structural)
+        key, make = ("g", make_capped) if name == "capped" else ("f", make_structural)
         if not arg:
             return make()
         got, _, expr = arg.partition("=")
         if got != key:
             raise ValueError(f"{name} learner takes {key}=<fn>, got {arg!r}")
-        return make(*_parse_growth(expr, kind))
+        return make(*_parse_growth(name, key, expr))
     if name == "const":
-        return make_constant(float(arg))
+        try:
+            price = float(arg)
+        except ValueError:
+            raise ValueError(f"const learner: price {arg!r} is not a number") from None
+        return make_constant(price)
     if name == "cmd":
         if not arg:
             raise ValueError("cmd learner needs a command line")
+        import shlex
+
         return make_subprocess(shlex.split(arg))
     raise ValueError(f"unknown learner spec {spec!r}")

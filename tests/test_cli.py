@@ -5,10 +5,11 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from revcurve import curves
+from revcurve import cli, curves
 from revcurve.cli import main
 from revcurve.curves import LearningCurve
 from revcurve.dist import parse_dist, zoo_names
@@ -565,6 +566,33 @@ class TestDeclaredFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestSpecValueThatDoesNotParse:
+    @pytest.mark.parametrize("flag,spec,message", [
+        ("--dist", "two_point:p=abc,p_prime=3,c=2", "zoo law 'two_point': key 'p' must be a real number, got 'abc'"),
+        ("--dist", "erm_hard:truncation_depth=1.5", "key 'truncation_depth' must be an integer, got '1.5'"),
+        ("--dist", "finite:1@0.5,2", "zoo law 'finite': atom '2'"),
+        ("--learner", "capped:g=n^abc", "capped learner: g='n^abc'"),
+        ("--learner", "const:abc", "const learner: price 'abc'"),
+        ("--learner", "structural:f=const:", "structural learner: f='const:'"),
+    ])
+    def test_curve_exit_2_names_the_spec(self, tmp_path, capsys, flag, spec, message):
+        specs = {"--learner": "erm", "--dist": "uniform01", flag: spec}
+        code, out, err = run_cli(
+            ["curve", "--learner", specs["--learner"], "--dist", specs["--dist"], "--grid", "10,20",
+             "--trials", "4", "--workers", "1", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("phi", ["pow:abc", "const:"])
+    def test_adversary_phi_exit_2_names_the_spec(self, tmp_path, capsys, phi):
+        code, out, err = run_cli(
+            ["adversary", "--learner", "erm", "--phi", phi, "--depth", "3", "--trials", "20", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and out == "" and f"phi spec {phi!r} needs a real number" in err
+
+
 class TestZooCommand:
     def test_list(self, capsys):
         code, out, _ = run_cli(["zoo", "list"], capsys)
@@ -593,6 +621,29 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["curve"] == str(tmp_path / "curve.csv")
+
+    # run() ends a fresh process with os._exit once its outputs are flushed:
+    # its exit code and its redirected stdout must be what main() left (exit 0
+    # is checked by the runs above and below)
+    @pytest.mark.parametrize(
+        "args,code", [(["zoo", "show"], 2), (["zoo"], 2), (["gadget", "--x", "1.0", "--q", "nan", "--p", "0.05"], 3)]
+    )
+    def test_exit_code_in_a_fresh_interpreter(self, args, code):
+        proc = subprocess.run([sys.executable, "-m", "revcurve", *args], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+
+    def test_stdout_redirected_to_a_file_is_complete(self, tmp_path):
+        outputs = {
+            "zoo.txt": ["zoo", "list"],
+            "curve.txt": ["curve", "--learner", "erm", "--dist", "uniform01", "--grid", "10,20", "--trials", "4",
+                          "--workers", "1", "--out", str(tmp_path)],
+        }
+        for name, args in outputs.items():
+            with open(tmp_path / name, "w") as fh:
+                subprocess.run([sys.executable, "-m", "revcurve", *args], stdout=fh, check=True, timeout=120)
+        assert (tmp_path / "zoo.txt").read_text().splitlines() == zoo_names() and len(zoo_names()) == 7
+        lines = (tmp_path / "curve.txt").read_text().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["curve"] == str(tmp_path / "curve.csv")
 
     # In-process tests share sys.modules, so they cannot see a command that
@@ -630,6 +681,45 @@ class TestConsoleEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "revcurve", "adversary", "--help"], capture_output=True,
                               text=True, env={**os.environ, "COLUMNS": "80"}, timeout=120)
         assert proc.returncode == 0 and proc.stdout == ADVERSARY_HELP
+
+
+class TestRun:
+    """The console entry skips interpreter teardown only when nothing is left to finish."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("exit handlers"))
+        monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("_exit", code)))
+        return calls
+
+    def test_main_thread_alone_runs_the_handlers_then_exits(self, monkeypatch, calls):
+        monkeypatch.setattr(cli, "threading", SimpleNamespace(active_count=lambda: 1))
+        cli.run()
+        assert calls == ["exit handlers", ("_exit", 3)]
+
+    def test_live_thread_takes_the_ordinary_exit(self, monkeypatch, calls):
+        monkeypatch.setattr(cli, "threading", SimpleNamespace(active_count=lambda: 2))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3 and calls == []
+
+    def test_closed_stdout_is_not_flushed(self, monkeypatch, calls):
+        monkeypatch.setattr(cli, "threading", SimpleNamespace(active_count=lambda: 1))
+        monkeypatch.setattr(cli.sys, "stdout", None)  # what a process started with `>&-` sees
+        cli.run()
+        assert calls == ["exit handlers", ("_exit", 3)]
+
+    def test_failed_flush_takes_the_ordinary_exit(self, monkeypatch, calls):
+        def broken():
+            raise BrokenPipeError("reader gone")
+
+        monkeypatch.setattr(cli, "threading", SimpleNamespace(active_count=lambda: 1))
+        monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(flush=broken))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3 and calls == ["exit handlers"]
 
 
 ADVERSARY_HELP = """\

@@ -1,8 +1,8 @@
 import concurrent.futures
 import math
-import multiprocessing
 import os
 import shlex
+import subprocess
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -201,7 +201,7 @@ class TestEstimateGap:
     def test_spawned_pool_matches_in_process(self, monkeypatch, law):
         # the start method every platform but Linux takes
         pools = record_pools(monkeypatch)
-        monkeypatch.setattr(curves, "get_context", lambda method: multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(curves, "_START_METHOD", "spawn")
         d = zoo(law)
         par = estimate_gap(make_erm(), d, n=64, trials=40, base_seed=5, workers=2)
         assert pools[0].mp_context.get_start_method() == "spawn"
@@ -212,6 +212,15 @@ class TestEstimateGap:
         estimate_gap(make_erm(), two_point(1.0, 3.0, 2.0), n=20, trials=8, base_seed=1, workers=2)
         expected = "fork" if sys.platform.startswith("linux") else "spawn"
         assert len(pools) == 1 and pools[0].mp_context.get_start_method() == expected
+
+    def test_pool_leaves_no_thread_behind(self):
+        # the CLI skips interpreter teardown only while the main thread is the last one
+        code = (
+            "import threading; from revcurve import learning_curve, make_erm, zoo; "
+            "learning_curve(make_erm(), zoo('uniform01'), [10, 20], 8, 1, workers=2); print(threading.active_count())"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "1\n", proc.stderr
 
     def test_subprocess_learner_inside_workers(self):
         # each trial starts a process from inside a pool worker

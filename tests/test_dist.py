@@ -633,6 +633,18 @@ class TestParseDist:
             parse_dist(spec)
         assert not isinstance(exc.value, InfeasibleParametersError)
 
+    @pytest.mark.parametrize("spec,message", [
+        ("two_point:p=abc,p_prime=3,c=2", "zoo law 'two_point': key 'p' must be a real number, got 'abc'"),
+        ("two_point:p=1,pp=,c=2", "zoo law 'two_point': key 'p_prime' must be a real number, got ''"),
+        ("erm_hard:truncation_depth=1.5", "zoo law 'erm_hard': key 'truncation_depth' must be an integer, got '1.5'"),
+        ("finite:1@0.5,2", "zoo law 'finite': atom '2' is not <value>@<mass> in real numbers"),
+        ("finite:x@1", "zoo law 'finite': atom 'x@1' is not <value>@<mass> in real numbers"),
+    ])
+    def test_value_that_does_not_parse_names_the_law_and_the_key(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            parse_dist(spec)
+        assert not isinstance(exc.value, InfeasibleParametersError)
+
     def test_json_path(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(two_point(1.0, 3.0, 2.0).to_json())

@@ -1,4 +1,5 @@
 import math
+import re
 import shlex
 import sys
 
@@ -347,6 +348,16 @@ class TestParseLearner:
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_learner("oracle")
+
+    @pytest.mark.parametrize("spec,message", [
+        ("capped:g=n^abc", "capped learner: g='n^abc' needs a finite number after 'n^'"),
+        ("structural:f=const:", "structural learner: f='const:' needs a finite number after 'const:'"),
+        ("capped:g=cube", "capped learner: cannot parse g='cube'"),
+        ("const:abc", "const learner: price 'abc' is not a number"),
+    ])
+    def test_value_that_does_not_parse_names_the_learner_and_the_key(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_learner(spec)
 
     @pytest.mark.parametrize("spec", ["erm:junk", "truncated:g=sqrt", "erm:g=sqrt"])
     def test_argument_the_learner_does_not_take(self, spec):

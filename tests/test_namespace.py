@@ -7,6 +7,7 @@ some earlier test has already imported every module.
 import importlib
 import inspect
 import json
+import shlex
 import subprocess
 import sys
 
@@ -79,13 +80,22 @@ def test_import_alone_loads_no_numpy_and_no_submodule():
     assert [m for m in loaded if m == "numpy" or m.startswith(("numpy.", "revcurve."))] == []
 
 
-def test_curve_command_loads_no_adversary(tmp_path):
+def loaded_by(*args: str) -> set[str]:
+    """The modules a fresh `revcurve` process running args imports."""
     # -X importtime lists every module the process imports, on stderr
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "revcurve", "curve", "--learner", "erm", "--dist", "uniform01",
-         "--grid", "10,20", "--trials", "4", "--workers", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "revcurve", *args], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_curve_command_loads_no_adversary(tmp_path):
+    curve = ["curve", "--dist", "uniform01", "--grid", "10,20", "--trials", "4", "--workers", "1", "--out", str(tmp_path)]
+    loaded = loaded_by(*curve, "--learner", "erm")
     assert "revcurve.curves" in loaded and "revcurve.adversary" not in loaded
+    # multiprocessing loads only for a pool, subprocess and shlex only for a cmd: learner
+    pool_and_cmd = {"multiprocessing", "subprocess", "shlex"}
+    assert not loaded & pool_and_cmd
+    assert not loaded_by("adversary", "--learner", "erm", "--depth", "3", "--trials", "20", "--out", str(tmp_path)) & pool_and_cmd
+    cmd = loaded_by(*curve, "--learner", f"cmd:{shlex.quote(sys.executable)} -c print(0.5)")
+    assert {"subprocess", "shlex"} <= cmd and "multiprocessing" not in cmd
