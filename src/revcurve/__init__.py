@@ -24,9 +24,9 @@ _HOMES = {
         estimate_gap expected_revenue_curve fit_exponential fit_power learning_curve t_eps""",
     "dist": """ContinuousDist Distribution FinitePMF InfeasibleParametersError OptResult SearchBudgetError TailRuleDist
         parse_dist tally two_point zoo zoo_names""",
-    "empirical": "EmpiricalDist Sample dkw_bound empirical_dist sup_cdf_deviation",
-    "learners": """Learner LearnerProcessError capped_erm erm make_capped make_constant make_erm make_structural
-        make_subprocess make_truncated parse_learner structural_erm truncated_erm""",
+    "empirical": "EmpiricalDist Sample dkw_bound sup_cdf_deviation",
+    "learners": """Learner LearnerProcessError make_capped make_constant make_erm make_structural make_subprocess
+        make_truncated parse_learner""",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)

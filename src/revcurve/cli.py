@@ -62,6 +62,18 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
+def _out_dir(text: str) -> Path:
+    """The --out directory, checked before the command's work: the nearest
+    existing path on it must be a directory this process may write to, else
+    exit 2 naming it.  The command makes the directory with its outputs, so a
+    run refused for its inputs leaves none behind."""
+    out = Path(text)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot make --out directory {text!r}: {str(nearest)!r} is not a writable directory")
+    return out
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill unset flags from --config JSON; explicit flags win.
 
@@ -159,8 +171,8 @@ def _cmd_curve(args, parser: argparse.ArgumentParser) -> int:
     grid = _parse_grid(args.grid)
     seed = _base_seed(args)
     workers = _workers(args)
+    out = _out_dir(args.out or ".")
     curve = curves.learning_curve(learner, dist, grid, args.trials, seed, workers=workers)
-    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     curve.to_csv(out / "curve.csv")
     (out / "curve.json").write_text(curve.to_json() + "\n")
@@ -203,9 +215,9 @@ def _cmd_adversary(args) -> int:
     probe = adversary.ProbeConfig(
         allow_sampling=args.allow_sampling, **{key: value for key, value in counts.items() if value is not None}
     )
+    out = _out_dir(args.out or ".")
     dist, construction = adversary.build_slow_rate_distribution(learner, phi, args.depth, probe, rng)
     report = adversary.validate_slow_rate(dist, construction, learner, trials=args.trials, base_seed=seed)
-    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "construction.json").write_text(construction.to_json() + "\n")
     (out / "validation.json").write_text(json.dumps({"distribution": dist.to_dict(), "levels": report}, sort_keys=True, indent=2) + "\n")
@@ -223,6 +235,7 @@ def _cmd_gadget(args) -> int:
 
     gp = adversary.uniform_gadget(args.x, args.q, args.p, args.gamma)
     seed = _base_seed(args)
+    out = _out_dir(args.out) if args.out else None
     doc: dict = asdict(gp) | {"members": {}, "coin_game": []}
     all_pass = True
     for sigma in (-1, 1):
@@ -243,8 +256,7 @@ def _cmd_gadget(args) -> int:
         doc["coin_game"].append(
             {"c": c, "n": res.n, "error_rate": res.error_rate, "std_err": res.std_err}
         )
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "gadget.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps({"x_pq": gp.x_pq, "midpoint": gp.midpoint, "all_pass": bool(all_pass)}, sort_keys=True))

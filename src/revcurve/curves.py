@@ -259,10 +259,13 @@ def expected_revenue_curve(
 
 
 def _sample_sizes(grid: Sequence[int]) -> list[int]:
-    """The grid as ints, refusing a sample size that is not a whole number >= 1."""
+    """The grid as ints, refusing a sample size that is not a whole number >= 1
+    or does not fit an int64."""
     for n in grid:
         if not (n >= 1 and n % 1 == 0):
             raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
+        if n >= 2**63:
+            raise ValueError(f"sample size {n!r} in the grid does not fit an int64 (it must be below 2^63)")
     return [int(n) for n in grid]
 
 

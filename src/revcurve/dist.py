@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .empirical import Sample
+from .empirical import Sample, _check_prices
 
 _MASS_TOL = 1e-12
 # budget of the continuous optimum search
@@ -344,10 +344,7 @@ class Distribution:
     def revenue(self, p):
         """Expected payment p * Pr[v >= p] of posting price p, a float for a
         float; a NaN, infinite or negative price raises, named in the message."""
-        x = np.asarray(p, dtype=np.float64)
-        bad = ~((x >= 0.0) & (x < math.inf))
-        if bad.any():
-            raise ValueError(f"price must be finite and nonnegative, got {float(x[bad][0])!r}")
+        x = _check_prices(p)
         rev = x * self.variant.survival(x, strict=False)
         return float(rev) if x.ndim == 0 else rev
 
@@ -369,11 +366,6 @@ class Distribution:
         if isinstance(v, TailRuleDist):
             return v._materialized
         return v if isinstance(v, FinitePMF) else None
-
-    def candidate_points(self) -> np.ndarray:
-        """Atom locations (empty for continuous laws); used by CDF-deviation scans."""
-        table = self.atom_table
-        return np.empty(0, dtype=np.float64) if table is None else table.values
 
     # -- serialization ----------------------------------------------------
 
@@ -423,10 +415,6 @@ class Distribution:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Distribution":
-        return Distribution.from_dict(json.loads(text))
 
 
 # -- the zoo ---------------------------------------------------------------

@@ -30,12 +30,6 @@ class Sample:
             raise ValueError("valuations must be finite")
         object.__setattr__(self, "values", v)
 
-    def to_csv(self, path) -> None:
-        """Dump one value per line, full double precision (debugging aid)."""
-        with open(path, "w") as fh:
-            for v in self.values:
-                fh.write(f"{float(v)!r}\n")
-
 
 @dataclass(frozen=True)
 class EmpiricalDist:
@@ -60,15 +54,19 @@ class EmpiricalDist:
         return self.n - int(np.searchsorted(self.sorted_values, p, side="left"))
 
     def revenue(self, p: float) -> float:
-        """Empirical revenue p * #{v_i >= p} / n."""
-        if p < 0.0:
-            raise ValueError("price must be nonnegative")
+        """Empirical revenue p * #{v_i >= p} / n; a NaN, infinite or negative
+        price raises, named in the message."""
+        _check_prices(p)
         return p * self.count_geq(p) / self.n
 
 
-def empirical_dist(sample: Sample) -> EmpiricalDist:
-    """Sorted empirical distribution of a sample; invariant under permutation."""
-    return EmpiricalDist.from_values(sample.values)
+def _check_prices(p) -> np.ndarray:
+    """p as a float array, refusing a NaN, infinite or negative price by its value."""
+    x = np.asarray(p, dtype=np.float64)
+    bad = ~((x >= 0.0) & (x < math.inf))
+    if bad.any():
+        raise ValueError(f"price must be finite and nonnegative, got {float(x[bad][0])!r}")
+    return x
 
 
 def dkw_bound(n: int, eps: float) -> float:
@@ -84,15 +82,17 @@ def sup_cdf_deviation(e: EmpiricalDist, dist) -> float:
     """Exact sup_x |F_n(x) - F(x)| against a distribution with exact CDF queries.
 
     `dist` must expose cdf(xs) = Pr[v < x] and cdf_right(xs) = Pr[v <= x],
-    each taking an array and answering element by element, and
-    candidate_points() (its atom locations, empty for continuous laws).
+    each taking an array and answering element by element, and atom_table
+    (the finite table its draws come from, whose values are its atom
+    locations; None for a continuous law).
     Both step functions only move at sample values and atoms, and between those
     points F is monotone, so evaluating both one-sided limits at every
     candidate point captures the supremum exactly.  A tail-rule law is
     compared as the rule, not as its sampling table, so the tail mass the
     table lumps onto its last atom shows as a deviation there.
     """
-    pts = np.unique(np.concatenate([e.sorted_values, np.asarray(dist.candidate_points(), dtype=np.float64)]))
+    table = dist.atom_table
+    pts = np.unique(e.sorted_values if table is None else np.concatenate([e.sorted_values, table.values]))
     fn_left = np.searchsorted(e.sorted_values, pts, side="left") / e.n
     fn_right = np.searchsorted(e.sorted_values, pts, side="right") / e.n
     dev = np.maximum(

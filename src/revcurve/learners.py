@@ -115,33 +115,6 @@ def _mask(x: np.ndarray, drawn: Optional[np.ndarray]) -> np.ndarray:
     return x
 
 
-def erm(e: EmpiricalDist) -> float:
-    """Smallest sample value maximizing empirical revenue."""
-    return _Rule().on_sorted(e, e.n)
-
-
-def truncated_erm(e: EmpiricalDist, n: int) -> float:
-    """ERM restricted to prices at most max(ln n, 1)."""
-    return _Rule(cap=_g_log).on_sorted(e, n)
-
-
-def capped_erm(e: EmpiricalDist, n: int, g: Callable[[int], float]) -> float:
-    """ERM restricted to prices at most g(n): the best of the sample values
-    below the cap and the cap itself, the smaller price winning a tie."""
-    return _Rule(cap=g).on_sorted(e, n)
-
-
-def structural_erm(e: EmpiricalDist, n: int, f: Callable[[int], float]) -> float:
-    """Largest sorted sample price that beats every earlier one by the shrinking
-    margin (p_j + p_i) * f(n); the first price qualifies vacuously.
-
-    Duplicate values can never beat their own copies by a positive margin, so
-    only the first occurrence of each distinct value can win, and the scan over
-    the full sorted multiset picks the same price as one over distinct values.
-    """
-    return _Rule(scale=f).on_sorted(e, n)
-
-
 # -- the rules, row by row along the last axis --------------------------------
 #
 # Each rule reads ascending values (shape (K,)), left (shape (..., K)) and the
@@ -290,7 +263,8 @@ class _Rule:
             return _capped_price(values, left, drawn, m, x)
         return _erm_price(values, left, drawn, m)
 
-    def on_sorted(self, e: EmpiricalDist, n: int) -> float:
+    def __call__(self, values, n, rng):
+        e = EmpiricalDist.from_values(values)  # looked up on the class at each call, so a wrapper of it sees every sort
         u, m, x = e.sorted_values, e.n, self.at(n)
         if m <= _MIN_BLOCKS * _BLOCK:
             window = slice(None)
@@ -301,9 +275,6 @@ class _Rule:
         else:
             window = _erm_span(u, m, m)
         return float(self.price(u[window], _left(m)[window], None, m, x))
-
-    def __call__(self, values, n, rng):
-        return self.on_sorted(EmpiricalDist.from_values(values), n)
 
     def on_counts(self, values, counts, n):
         return self.price(np.asarray(values, dtype=np.float64), *_count_view(np.asarray(counts), n), n, self.at(n))
@@ -337,10 +308,12 @@ def _learner(name: str, rule: _Rule | _Constant) -> Learner:
 
 
 def make_erm() -> Learner:
+    """ERM: the smallest sample value maximizing empirical revenue."""
     return _learner("erm", _Rule())
 
 
 def make_truncated() -> Learner:
+    """Truncated ERM: ERM restricted to prices at most max(ln n, 1)."""
     return _learner("truncated", _Rule(cap=_g_log))
 
 
@@ -352,13 +325,18 @@ def _named(fn, name, default, default_name) -> tuple[Callable[[int], float], str
 
 
 def make_capped(g: Optional[Callable[[int], float]] = None, g_name: Optional[str] = None) -> Learner:
-    """Capped ERM at the price cap g(n), sqrt(n) by default."""
+    """Capped ERM at the price cap g(n), sqrt(n) by default: ERM restricted to
+    prices at most g(n), the best of the sample values below the cap and the
+    cap itself, the smaller price winning a tie."""
     g, g_name = _named(g, g_name, _g_sqrt, "sqrt")
     return _learner(f"capped[g={g_name}]", _Rule(cap=g))
 
 
 def make_structural(f: Optional[Callable[[int], float]] = None, f_name: Optional[str] = None) -> Learner:
-    """Structural ERM with the confidence scale f(n), n^-1/4 by default, so that f(n)^2 n = sqrt(n)."""
+    """Structural ERM with the confidence scale f(n), n^-1/4 by default, so that
+    f(n)^2 n = sqrt(n): the largest sorted sample price that beats every earlier
+    one by the shrinking margin (p_j + p_i) * f(n); the first price qualifies
+    vacuously, and only a first copy of a value can win."""
     f, f_name = _named(f, f_name, _f_quarter, "n^-0.25")
     return _learner(f"structural[f={f_name}]", _Rule(scale=f))
 

@@ -540,6 +540,17 @@ class TestDeclaredFlags:
         assert code == 2 and msg in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [str(2**63), str(2**70)])
+    def test_grid_size_past_int64_named_exit_2_before_any_trial(self, size, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(curves, "_trial_revenues", refuse_work)
+        code, _, err = run_cli(
+            ["curve", "--learner", "erm", "--dist", "two_point:p=1,p_prime=3,c=2", "--grid", f"10,{size}",
+             "--trials", "2", "--workers", "1", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and f"sample size {size} " in err and "int64" in err
+        assert not (tmp_path / "curve.csv").exists()
+
     @pytest.mark.parametrize("learner", ["erm", "structural", "const:1"])
     def test_grid_size_zero_exit_2(self, learner, tmp_path, capsys):
         code, _, err = run_cli(
@@ -564,6 +575,42 @@ class TestDeclaredFlags:
             main(args)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the command's work ran")
+
+
+class TestUnusableOut:
+    """An --out that cannot be a directory exits 2, naming it, before the
+    command's work starts, and nothing is written."""
+
+    COMMANDS = {
+        "curve": (["curve", "--learner", "erm", "--dist", "uniform01", "--grid", "10,20", "--trials", "4",
+                   "--workers", "1"], "revcurve.curves.learning_curve"),
+        "adversary": (["adversary", "--learner", "erm", "--depth", "3", "--trials", "20"],
+                      "revcurve.adversary.build_slow_rate_distribution"),
+        "gadget": (["gadget", "--x", "1.0", "--q", "0.5", "--p", "0.05"], "revcurve.adversary.gadget_member"),
+    }
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_2_before_the_work(self, command, below, tmp_path, capsys, monkeypatch):
+        args, work = self.COMMANDS[command]
+        monkeypatch.setattr(work, refuse_work)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "x" if below else afile
+        code, stdout, err = run_cli([*args, "--out", str(out)], capsys)
+        assert code == 2, err
+        assert stdout == "" and f"--out directory {str(out)!r}" in err and "is not a writable directory" in err
+        assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_missing_parents_are_made_with_the_outputs(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        code, _, err = run_cli([*self.COMMANDS["gadget"][0], "--trials", "10", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert [p.name for p in out.iterdir()] == ["gadget.json"]
 
 
 class TestSpecValueThatDoesNotParse:
@@ -632,6 +679,13 @@ class TestConsoleEntryPoint:
     def test_exit_code_in_a_fresh_interpreter(self, args, code):
         proc = subprocess.run([sys.executable, "-m", "revcurve", *args], capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+    def test_stdout_write_failing_after_the_work_exit_4(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "revcurve", "zoo", "list"], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 4 and "No space left on device" in proc.stderr
 
     def test_stdout_redirected_to_a_file_is_complete(self, tmp_path):
         outputs = {

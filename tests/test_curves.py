@@ -419,6 +419,8 @@ class TestLearningCurve:
             ([0, 10], 10, "sample size 0 "),
             ([-1, 10], 10, "sample size -1 "),
             ([2.5, 10], 10, "sample size 2.5 "),
+            ([10, 2**63], 10, "sample size 9223372036854775808 .*int64"),
+            ([10, 1e22], 10, r"sample size 1e\+22 .*int64"),
             ([10, 100], 2.5, "trials"),
             ([10, 100], 4.0, "trials 4.0 "),
         ],

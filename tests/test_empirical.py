@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revcurve.dist import parse_dist, zoo
-from revcurve.empirical import EmpiricalDist, Sample, dkw_bound, empirical_dist, sup_cdf_deviation
+from revcurve.empirical import EmpiricalDist, Sample, dkw_bound, sup_cdf_deviation
 
 
 def philox(seed):
@@ -13,22 +13,22 @@ def philox(seed):
 
 class TestEmpiricalDist:
     def test_sorts(self):
-        e = empirical_dist(Sample(np.array([4.0, 1.0, 1.0])))
+        e = EmpiricalDist.from_values(Sample(np.array([4.0, 1.0, 1.0])).values)
         assert np.array_equal(e.sorted_values, [1.0, 1.0, 4.0])
 
     def test_permutation_invariance(self):
         perms = [[1, 1, 4], [1, 4, 1], [4, 1, 1]]
-        dists = [empirical_dist(Sample(np.array(p, dtype=float))) for p in perms]
+        dists = [EmpiricalDist.from_values(Sample(np.array(p, dtype=float)).values) for p in perms]
         for e in dists[1:]:
             assert np.array_equal(e.sorted_values, dists[0].sorted_values)
 
     def test_singleton(self):
-        e = empirical_dist(Sample(np.array([2.0])))
+        e = EmpiricalDist.from_values(Sample(np.array([2.0])).values)
         assert np.array_equal(e.sorted_values, [2.0]) and e.n == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_dist(Sample(np.array([])))
+            EmpiricalDist.from_values(Sample(np.array([])).values)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
@@ -45,13 +45,6 @@ class TestEmpiricalDist:
         with pytest.raises(ValueError):
             EmpiricalDist.from_values([bad, 1.0, 2.0])
 
-    def test_sample_csv_roundtrip(self, tmp_path):
-        s = Sample(np.array([0.1, 2.25, 17.0]))
-        path = tmp_path / "s.csv"
-        s.to_csv(path)
-        back = [float(line) for line in path.read_text().splitlines()]
-        assert back == list(s.values)
-
 
 class TestEmpiricalRevenue:
     def test_examples(self):
@@ -63,6 +56,14 @@ class TestEmpiricalRevenue:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalDist.from_values([1.0]).revenue(-0.5)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_price_refused_as_a_law_refuses_it(self, bad):
+        with pytest.raises(ValueError) as by_law:
+            zoo("finite", points=[(1.0, 1.0)]).revenue(bad)
+        with pytest.raises(ValueError) as by_sample:
+            EmpiricalDist.from_values([1.0, 2.0, 3.0]).revenue(bad)
+        assert str(by_sample.value) == str(by_law.value) and repr(bad) in str(by_sample.value)
 
     def test_times_n_is_integer_multiple_of_price(self):
         rng = philox(5)

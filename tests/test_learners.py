@@ -13,20 +13,27 @@ from revcurve.empirical import EmpiricalDist
 from revcurve.learners import (
     Learner,
     LearnerProcessError,
-    capped_erm,
-    erm,
     make_capped,
     make_constant,
+    make_erm,
     make_structural,
     make_subprocess,
+    make_truncated,
     parse_learner,
-    structural_erm,
-    truncated_erm,
 )
 
 
 def e(vals):
     return EmpiricalDist.from_values(np.asarray(vals, dtype=float))
+
+
+def price(learner, vals, n=None):
+    """The learner's price on a sample; n is the sample's size unless given."""
+    vals = np.asarray(vals, dtype=float)
+    return learner.decide(vals, vals.size if n is None else n, None)
+
+
+ERM, TRUNCATED = make_erm(), make_truncated()
 
 
 def brute_force_erm(vals, cap=None):
@@ -90,10 +97,10 @@ class TestRevenueKernelMatchesReference:
     def test_prices_equal_reference(self, sample, n, fn):
         vals, cap = sample
         emp = e(vals)
-        assert erm(emp) == ref_erm(emp)
-        assert truncated_erm(emp, n) == ref_best_on(emp, max(math.log(n), 1.0))
-        assert capped_erm(emp, n, lambda m: cap) == ref_best_on(emp, cap)
-        assert structural_erm(emp, n, lambda m: fn) == ref_structural(emp, fn)
+        assert price(ERM, vals) == ref_erm(emp)
+        assert price(TRUNCATED, vals, n) == ref_best_on(emp, max(math.log(n), 1.0))
+        assert price(make_capped(lambda m: cap), vals, n) == ref_best_on(emp, cap)
+        assert price(make_structural(lambda m: fn), vals, n) == ref_structural(emp, fn)
 
 
 @st.composite
@@ -176,56 +183,55 @@ class TestCountFormMatchesSampleForm:
 class TestErm:
     def test_prefers_higher_revenue(self):
         # rev(1) = 1 < rev(4) = 4/3
-        assert erm(e([1, 1, 4])) == 4.0
+        assert price(ERM, [1, 1, 4]) == 4.0
 
     def test_tie_breaks_low(self):
         # rev(1) = 1 = rev(4)
-        assert erm(e([1, 1, 1, 4])) == 1.0
+        assert price(ERM, [1, 1, 1, 4]) == 1.0
 
     def test_singleton(self):
-        assert erm(e([2.5])) == 2.5
+        assert price(ERM, [2.5]) == 2.5
 
     def test_matches_brute_force(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
         for _ in range(300):
             vals = rng.random(int(rng.integers(1, 30))) * 10
-            assert erm(e(vals)) == brute_force_erm(vals)
+            assert price(ERM, vals) == brute_force_erm(vals)
 
 
 class TestTruncatedErm:
     def test_large_value_excluded(self):
         # cap = max(ln 3, 1) ~ 1.0986; candidates {1, cap}: rev(1) = 1 beats cap/3
-        assert truncated_erm(e([1, 1, 100]), 3) == 1.0
+        assert price(TRUNCATED, [1, 1, 100], 3) == 1.0
 
     def test_cap_inactive(self):
-        assert truncated_erm(e([1, 1, 4]), 1000) == 4.0
+        assert price(TRUNCATED, [1, 1, 4], 1000) == 4.0
 
     def test_cap_itself_returned_when_all_excluded(self):
-        assert truncated_erm(e([5]), 2) == 1.0
+        assert price(TRUNCATED, [5], 2) == 1.0
 
     def test_output_never_exceeds_cap(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(22)))
         for _ in range(100):
             n = int(rng.integers(1, 50))
             vals = rng.random(n) * 40
-            assert truncated_erm(e(vals), n) <= max(math.log(n), 1.0) + 1e-12
+            assert price(TRUNCATED, vals, n) <= max(math.log(n), 1.0) + 1e-12
 
 
 class TestCappedErm:
     def test_cap_binds(self):
         # candidates {1, 10}: emp rev(10) = 10 * (1/2) = 5 beats rev(1) = 1,
         # so the cap itself wins (the excluded 16 still counts toward survival)
-        assert capped_erm(e([1, 16]), 100, lambda n: math.sqrt(n)) == 10.0
+        assert price(make_capped(lambda n: math.sqrt(n)), [1, 16], 100) == 10.0
 
     def test_interior_value_wins(self):
-        assert capped_erm(e([1, 9]), 100, lambda n: math.sqrt(n)) == 9.0
+        assert price(make_capped(lambda n: math.sqrt(n)), [1, 9], 100) == 9.0
 
     def test_inactive_cap_equals_erm(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(23)))
         for _ in range(1000):
             vals = rng.random(int(rng.integers(1, 25))) * 5
-            emp = e(vals)
-            assert capped_erm(emp, 10, lambda n: 100.0) == erm(emp)
+            assert price(make_capped(lambda n: 100.0), vals, 10) == price(ERM, vals)
 
     def test_output_never_exceeds_cap(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
@@ -233,23 +239,23 @@ class TestCappedErm:
         for _ in range(100):
             n = int(rng.integers(1, 60))
             vals = rng.random(n) * 30
-            assert capped_erm(e(vals), n, g) <= g(n) + 1e-12
+            assert price(make_capped(g), vals, n) <= g(n) + 1e-12
 
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(ValueError):
-            capped_erm(e([1.0]), 5, lambda n: 0.0)
+            price(make_capped(lambda n: 0.0), [1.0], 5)
 
 
 class TestStructuralErm:
     def test_margin_blocks_large_price(self):
         # i* = 3 needs 4/3 > 1 + 5*0.1; i* = 2 needs rev(1) > rev(1) + 0.2; both fail
-        assert structural_erm(e([1, 1, 4]), 3, lambda n: 0.1) == 1.0
+        assert price(make_structural(lambda n: 0.1), [1, 1, 4], 3) == 1.0
 
     def test_zero_margin_takes_strict_winner(self):
-        assert structural_erm(e([1, 1, 4]), 3, lambda n: 0.0) == 4.0
+        assert price(make_structural(lambda n: 0.0), [1, 1, 4], 3) == 4.0
 
     def test_constant_sample(self):
-        assert structural_erm(e([3, 3, 3]), 3, lambda n: 0.05) == 3.0
+        assert price(make_structural(lambda n: 0.05), [3, 3, 3], 3) == 3.0
 
     def test_zero_margin_matches_erm_on_unique_maximizer(self):
         # with f = 0 and a duplicate-free sample, the strict winner is the
@@ -262,7 +268,7 @@ class TestStructuralErm:
             revs = [emp.revenue(float(v)) for v in vals]
             top = max(revs)
             if sum(abs(r - top) < 1e-12 for r in revs) == 1:
-                assert structural_erm(emp, vals.size, lambda n: 0.0) == erm(emp)
+                assert price(make_structural(lambda n: 0.0), vals, vals.size) == price(ERM, vals)
                 checked += 1
         assert checked > 100
 
@@ -271,14 +277,13 @@ class TestStructuralErm:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(26)))
         for _ in range(200):
             vals = rng.random(int(rng.integers(1, 20))) * 10
-            emp = e(vals)
             fs = [0.0, 0.01, 0.05, 0.1, 0.3, 1.0]
-            outs = [structural_erm(emp, vals.size, lambda n, fv=fv: fv) for fv in fs]
+            outs = [price(make_structural(lambda n, fv=fv: fv), vals, vals.size) for fv in fs]
             assert all(a >= b - 1e-15 for a, b in zip(outs, outs[1:]))
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
-            structural_erm(e([1.0]), 1, lambda n: -0.1)
+            price(make_structural(lambda n: -0.1), [1.0], 1)
 
 
 class TestPermutationDeterminism:
@@ -313,7 +318,7 @@ class TestGrowthFns:
         for n in range(1, 100):
             assert f(n) ** 2 * n >= g(n) - 1e-12
             vals = rng.random(n) * 10
-            assert lr.decide(vals, n, None) == structural_erm(e(vals), n, f)
+            assert lr.decide(vals, n, None) == price(make_structural(f), vals, n)
 
 
     def test_custom_functions_name_the_learner(self):
@@ -434,10 +439,10 @@ class TestSortedSampleDoor:
         emp = e(vals)
         left = learners._left(emp.n)
         before = left.copy()
-        assert erm(emp) == ref_erm(emp)
-        assert truncated_erm(emp, n) == ref_best_on(emp, max(math.log(n), 1.0))
-        assert capped_erm(emp, n, lambda m: cap) == ref_best_on(emp, cap)
-        assert structural_erm(emp, n, lambda m: fn) == ref_structural(emp, fn)
+        assert price(ERM, vals) == ref_erm(emp)
+        assert price(TRUNCATED, vals, n) == ref_best_on(emp, max(math.log(n), 1.0))
+        assert price(make_capped(lambda m: cap), vals, n) == ref_best_on(emp, cap)
+        assert price(make_structural(lambda m: fn), vals, n) == ref_structural(emp, fn)
         assert learners._left(emp.n) is left
         assert np.array_equal(left, before) and np.array_equal(left, emp.n - np.arange(emp.n))
         assert not left.flags.writeable
@@ -478,10 +483,9 @@ def window_rules(u: np.ndarray, n: int) -> list:
 
 def assert_window_exact(u: np.ndarray, n: int):
     m = u.size
-    e = EmpiricalDist(u, m)
     for rule in window_rules(u, n):
         full = float(rule.price(u, learners._left(m), None, m, rule.at(n)))
-        assert rule.on_sorted(e, n) == full, (rule, m, n)
+        assert rule(u, n, None) == full, (rule, m, n)
 
 
 class TestSortedDoorWindow:
@@ -514,7 +518,7 @@ class TestSortedDoorWindow:
         monkeypatch.setattr(learners, "_BLOCK", 2)
         monkeypatch.setattr(learners, "_MIN_BLOCKS", 0)
         u = np.array([1.0, 1.0, 1.5, 4.0])
-        assert erm(e(u)) == 1.0
+        assert price(ERM, u) == 1.0
         assert_window_exact(u, u.size)
 
     def test_rising_revenue_row(self):
