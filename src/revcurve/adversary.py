@@ -38,8 +38,7 @@ def monotone_envelope(phi: Callable[[int], float], horizon: int) -> RateFn:
     R is nonincreasing and agrees with phi infinitely often along any
     vanishing phi; levels where they agree are where the slow-rate bound bites.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_count("horizon", horizon)
     phis = []
     for j in range(1, horizon + 1):
         v = float(phi(j))
@@ -65,9 +64,14 @@ class BoundResult:
     quantile_miss_prob: float = 0.0
 
 
-def _check_count(name: str, value) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be >= 1, got {value!r} (a whole number)")
+def _check_count(name: str, value, least: int = 1) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be >= {least}, got {value!r} (a whole number)")
+
+
+def _check_sigma(sigma) -> None:
+    if not (isinstance(sigma, numbers.Integral) and sigma in (-1, 1)):
+        raise ValueError(f"sigma must be the integer -1 or +1, got {sigma!r}")
 
 
 def _outputs(learner: Learner, dataset: np.ndarray, trials: int, rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -190,8 +194,7 @@ def build_slow_rate_distribution(
     of support indices; past the mode's budget, allow_sampling draws that many
     rows with rng.integers.  probe_stats records the mode of every level.
     """
-    if depth < 2:
-        raise ValueError("construction depth must be >= 2")
+    _check_count("construction depth", depth, least=2)
     probe = probe or ProbeConfig()
     rate = monotone_envelope(phi, depth)
     points = [0.0]
@@ -339,8 +342,7 @@ def gadget_member(gp: GadgetParams, sigma: int) -> Distribution:
     x_pq - gamma^2 peaks exactly there) is verified numerically; parameters
     failing it are rejected rather than assumed away.
     """
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be -1 or +1")
+    _check_sigma(sigma)
     mid_mass = gp.p + sigma * gp.gamma
     anchor = gp.x_pq / 2.0
     anchor_mass = 1.0 - gp.q - mid_mass
@@ -389,6 +391,7 @@ def verify_gadget(gp: GadgetParams, dist: Distribution, sigma: int, sweep_side: 
     `sweep_side` ("low"/"high") overrides the side implied by sigma, which is
     how the deliberate wrong-side test is run.
     """
+    _check_sigma(sigma)
     if not isinstance(dist.variant, FinitePMF):
         raise ValueError("verify_gadget's sweep is exact only on finite support")
     g2 = gp.gamma**2

@@ -43,8 +43,8 @@ import numpy as np
 from .dist import Distribution, FinitePMF
 from .learners import Learner
 from .streams import learner_stream, sample_streams
-# bench/tracing.py and tests/test_curves.py import these two from revcurve.curves
-from .streams import sample_stream, trial_streams  # noqa: F401
+# bench/tracing.py imports trial_streams from revcurve.curves
+from .streams import trial_streams  # noqa: F401
 
 SIGNAL_SIGMA = 3.0  # positive-signal filter: keep points with mean_gap > 3*std_err
 

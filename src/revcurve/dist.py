@@ -2,7 +2,6 @@
 
 Conventions (used by every module downstream):
   survival(p) = Pr[v >= p]      an atom exactly at the posted price sells
-  cdf(p)      = Pr[v <  p]
   revenue(p)  = p * survival(p)
   optimal revenue = sup_p revenue(p), which may be a limit attained by no price
 
@@ -113,16 +112,13 @@ class FinitePMF:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.values[self._atoms_hit(rng.random(n))]
 
-    def draw_counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """How many of n i.i.d. draws land on each atom: one multinomial draw."""
-        return rng.multinomial(n, self.masses)
-
     def count_rows(self, rngs, n: int) -> np.ndarray:
-        """One count row per stream, shape (rows, K): its draw_counts when
-        K <= n, else the tally of the n values its draw returns."""
+        """One count row per stream, shape (rows, K): how many of its n i.i.d.
+        draws land on each atom, one multinomial draw when K <= n, else the
+        tally of the n values its draw returns."""
         k = self.values.size
         if k <= n:
-            return np.array([self.draw_counts(rng, n) for rng in rngs])
+            return np.array([rng.multinomial(n, self.masses) for rng in rngs])
         return tally(self._atoms_hit(np.array([rng.random(n) for rng in rngs])), k)
 
 
@@ -242,7 +238,6 @@ class ContinuousDist:
     rule_name: str
     cdf_fn: Callable
     quantile_fn: Callable
-    support_upper: Optional[float] = None
     revenue_sup: Optional[float] = None
 
     def survival(self, p, strict: bool = False):
@@ -251,22 +246,18 @@ class ContinuousDist:
     def optimal_revenue(self) -> OptResult:
         if self.revenue_sup is not None:
             return OptResult(float(self.revenue_sup), None)
-        hi = self.support_upper if self.support_upper is not None else 1.0
-        expansions = 0
-        while True:
-            grid = np.linspace(0.0, hi, _OPT_GRID_POINTS)
+        for k in range(_OPT_MAX_EXPANSIONS + 1):  # the grid on [0, 1], then on each doubling of it
+            grid = np.linspace(0.0, 2.0**k, _OPT_GRID_POINTS)
             rev = grid * self.survival(grid)
             i = int(np.argmax(rev))
-            if self.support_upper is not None or i < _OPT_GRID_POINTS - 2:
+            if i < _OPT_GRID_POINTS - 2:
                 break
-            expansions += 1
-            if expansions > _OPT_MAX_EXPANSIONS:
-                raise SearchBudgetError(
-                    "optimum search did not converge within the expansion budget",
-                    bracket=(float(grid[i - 1]), float(grid[i])),
-                    best_value=float(rev[i]),
-                )
-            hi *= 2.0
+        else:
+            raise SearchBudgetError(
+                "optimum search did not converge within the expansion budget",
+                bracket=(float(grid[i - 1]), float(grid[i])),
+                best_value=float(rev[i]),
+            )
         lo_b = float(grid[max(i - 1, 0)])
         hi_b = float(grid[min(i + 1, _OPT_GRID_POINTS - 1)])
         p_star, v_star = _golden_max(lambda p: float(p * self.survival(p)), lo_b, hi_b, _OPT_TOL)
@@ -327,19 +318,6 @@ class Distribution:
     def survival_strict(self, p):
         """Pr[v > p], a float for a float."""
         return self._survival(p, strict=True)
-
-    def _cdf(self, p, strict: bool):
-        x = np.asarray(p, dtype=np.float64)
-        f = np.where(x >= 0.0 if strict else x > 0.0, 1.0 - self._survival(np.maximum(x, 0.0), strict=strict), 0.0)
-        return float(f) if x.ndim == 0 else f
-
-    def cdf(self, p):
-        """Pr[v < p], a float for a float; 0 at every p <= 0."""
-        return self._cdf(p, strict=False)
-
-    def cdf_right(self, p):
-        """Pr[v <= p], a float for a float; 0 at every p < 0."""
-        return self._cdf(p, strict=True)
 
     def revenue(self, p):
         """Expected payment p * Pr[v >= p] of posting price p, a float for a
@@ -413,9 +391,6 @@ class Distribution:
             params["truncation_depth"] = doc["truncation_depth"]
         return zoo(need("rule_name", lambda v: isinstance(v, str), "a string"), **params)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 # -- the zoo ---------------------------------------------------------------
 #
@@ -477,8 +452,8 @@ def _tail_law(rule_name: str, value_fn, survival_fn, revenue_limit: float, trunc
     return Distribution(label=f"{rule_name}(trunc={truncation_depth})", variant=rule)
 
 
-def _continuous_law(rule_name: str, cdf_fn, quantile_fn, **bounds) -> Distribution:
-    return Distribution(label=rule_name, variant=ContinuousDist(rule_name, cdf_fn, quantile_fn, **bounds))
+def _continuous_law(rule_name: str, cdf_fn, quantile_fn, revenue_sup: Optional[float] = None) -> Distribution:
+    return Distribution(label=rule_name, variant=ContinuousDist(rule_name, cdf_fn, quantile_fn, revenue_sup))
 
 
 def two_point(p: float, p_prime: float, c: float) -> Distribution:
@@ -525,7 +500,7 @@ _ZOO: dict[str, Callable[..., Distribution]] = {
     ),
     "two_point": two_point,
     "finite": _finite,
-    "uniform01": lambda: _continuous_law("uniform01", _uniform01_cdf, _uniform01_quantile, support_upper=1.0),
+    "uniform01": lambda: _continuous_law("uniform01", _uniform01_cdf, _uniform01_quantile),
 }
 
 
@@ -562,7 +537,7 @@ def parse_dist(spec: str) -> Distribution:
 
     Forms: "erm_hard", "uniform01", "two_point:p=1,p_prime=3,c=2",
     "finite:1@0.2,10@0.79,1000@0.01", "erm_hard:truncation_depth=12",
-    or a path to a JSON document produced by Distribution.to_json().
+    or a path to a JSON document of Distribution.to_dict().
     """
     if spec.endswith(".json"):
         with open(spec) as fh:

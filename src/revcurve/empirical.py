@@ -79,12 +79,13 @@ def dkw_bound(n: int, eps: float) -> float:
 
 
 def sup_cdf_deviation(e: EmpiricalDist, dist) -> float:
-    """Exact sup_x |F_n(x) - F(x)| against a distribution with exact CDF queries.
+    """Exact sup_x |F_n(x) - F(x)| against a distribution with exact survival queries.
 
-    `dist` must expose cdf(xs) = Pr[v < x] and cdf_right(xs) = Pr[v <= x],
-    each taking an array and answering element by element, and atom_table
-    (the finite table its draws come from, whose values are its atom
-    locations; None for a continuous law).
+    `dist` must expose survival(xs) = Pr[v >= x] and survival_strict(xs) =
+    Pr[v > x], each taking an array and answering element by element, and
+    atom_table (the finite table its draws come from, whose values are its
+    atom locations; None for a continuous law).  F(x) = Pr[v < x] is read as
+    1 - survival(x) and Pr[v <= x] as 1 - survival_strict(x).
     Both step functions only move at sample values and atoms, and between those
     points F is monotone, so evaluating both one-sided limits at every
     candidate point captures the supremum exactly.  A tail-rule law is
@@ -96,7 +97,7 @@ def sup_cdf_deviation(e: EmpiricalDist, dist) -> float:
     fn_left = np.searchsorted(e.sorted_values, pts, side="left") / e.n
     fn_right = np.searchsorted(e.sorted_values, pts, side="right") / e.n
     dev = np.maximum(
-        np.abs(fn_left - dist.cdf(pts)),
-        np.abs(fn_right - dist.cdf_right(pts)),
+        np.abs(fn_left - (1.0 - dist.survival(pts))),
+        np.abs(fn_right - (1.0 - dist.survival_strict(pts))),
     )
     return float(dev.max())

@@ -51,10 +51,6 @@ def _g_log(n: int) -> float:
     return max(math.log(n), 1.0)
 
 
-def _f_quarter(n: int) -> float:
-    return n ** -0.25
-
-
 @dataclass(frozen=True)
 class Learner:
     """A pricing rule: decide(values, n, rng) -> posted price.
@@ -337,7 +333,7 @@ def make_structural(f: Optional[Callable[[int], float]] = None, f_name: Optional
     f(n)^2 n = sqrt(n): the largest sorted sample price that beats every earlier
     one by the shrinking margin (p_j + p_i) * f(n); the first price qualifies
     vacuously, and only a first copy of a value can win."""
-    f, f_name = _named(f, f_name, _f_quarter, "n^-0.25")
+    f, f_name = _named(f, f_name, _PowerFn(-0.25), "n^-0.25")
     return _learner(f"structural[f={f_name}]", _Rule(scale=f))
 
 
@@ -455,5 +451,9 @@ def parse_learner(spec: str) -> Learner:
             raise ValueError("cmd learner needs a command line")
         import shlex
 
-        return make_subprocess(shlex.split(arg))
+        try:
+            argv = shlex.split(arg)
+        except ValueError as exc:
+            raise ValueError(f"cmd learner: cannot split {arg!r} as a shell would: {exc}") from None
+        return make_subprocess(argv)
     raise ValueError(f"unknown learner spec {spec!r}")

@@ -103,6 +103,12 @@ class TestMonotoneEnvelope:
         with pytest.raises(ValueError, match="horizon"):
             monotone_envelope(lambda j: 1.0, 0)
 
+    @pytest.mark.parametrize("horizon", [0, -3, 2.5, 3.0, "3"])
+    def test_horizon_not_a_whole_number_from_one_named(self, horizon):
+        # 2.5 and 3.0 failed in range and "3" in <, neither naming the horizon
+        with pytest.raises(ValueError, match=re.escape(f"horizon must be >= 1, got {horizon!r}")):
+            monotone_envelope(lambda j: 1.0, horizon)
+
 
 class TestBoundLearnerOutput:
     def test_deterministic_exact(self):
@@ -226,6 +232,12 @@ class TestSlowRateConstruction:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth=1)
+
+    @pytest.mark.parametrize("depth", [1, 0, 2.5, 3.0, "3"])
+    def test_depth_not_a_whole_number_from_two_named(self, depth):
+        # 2.5 and 3.0 failed in range and "3" in <, neither naming the depth
+        with pytest.raises(ValueError, match=re.escape(f"construction depth must be >= 2, got {depth!r}")):
+            build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth=depth)
 
 
 class TestMultisetProbing:
@@ -445,6 +457,13 @@ class TestGadgetMember:
         with pytest.raises(ValueError):
             gadget_member(gp, 0)
 
+    @pytest.mark.parametrize("sigma", [0, 2, 1.0, -1.0, "1"])
+    def test_sigma_other_than_the_ints_plus_minus_one_named(self, sigma):
+        # 1.0 failed formatting the label with "Unknown format code 'd'"
+        gp = uniform_gadget(1.0, 0.5, 0.05)
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be the integer -1 or +1, got {sigma!r}")):
+            gadget_member(gp, sigma)
+
     # hand-built geometry that uniform_gadget would never return, one per check
     @pytest.mark.parametrize("x,q,p,gamma,x_pq,sigma,named", [
         (1.0, 0.5, 0.01, 0.02, 0.98, -1, "nonpositive atom mass"),  # p - gamma < 0
@@ -482,6 +501,13 @@ class TestVerifyGadget:
             assert not mirrored.passed
             # the sigma=-1 optimum sits at x on the right side, margin ~ 0
             assert mirrored.margin <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0, 2, 1.0, -1.0, "1"])
+    def test_sigma_other_than_the_ints_plus_minus_one_named(self, sigma):
+        # 0 and 2 reached condition 2, which blamed the law; 1.0 passed as +1
+        gp = uniform_gadget(1.0, 0.5, 0.05)
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be the integer -1 or +1, got {sigma!r}")):
+            verify_gadget(gp, gadget_member(gp, 1), sigma)
 
     def test_unknown_sweep_side_refused(self):
         gp = uniform_gadget(1.0, 0.5, 0.05)

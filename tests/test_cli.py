@@ -180,7 +180,10 @@ class TestCurveCommand:
         assert code == 3 and "q = 1.0" in err
         assert not (tmp_path / "curve.json").exists()
 
-    @pytest.mark.parametrize("spec,named", [("capped:f=sqrt", "f=sqrt"), ("capped:g=cube", "cube"), ("cmd:", "command")])
+    @pytest.mark.parametrize("spec,named", [
+        ("capped:f=sqrt", "f=sqrt"), ("capped:g=cube", "cube"), ("cmd:", "command"),
+        ("cmd:'oops", "cmd learner: cannot split \"'oops\""),
+    ])
     def test_bad_learner_spec_exit_2(self, tmp_path, capsys, spec, named):
         code, _, err = run_cli(
             ["curve", "--learner", spec, "--dist", "uniform01", "--grid", "10,20", "--trials", "10",

@@ -23,7 +23,6 @@ from revcurve.curves import (
     fit_exponential,
     fit_power,
     learning_curve,
-    sample_stream,
     t_eps,
     trial_streams,
 )
@@ -37,6 +36,7 @@ from revcurve.learners import (
     make_truncated,
     parse_learner,
 )
+from revcurve.streams import sample_stream
 
 
 # Module level, so workers can unpickle them by reference (a spawned worker

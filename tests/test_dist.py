@@ -40,6 +40,10 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def to_json(d) -> str:
+    return json.dumps(d.to_dict(), sort_keys=True)
+
+
 class TestSurvivalAndRevenue:
     def test_point_mass_atom_at_price_sells(self):
         d = zoo("finite", points=[(1.0, 1.0)])
@@ -97,7 +101,7 @@ QUERY_LAWS = {
         "finite:1@0.2,10@0.79,1000@0.01",
     )
 }
-QUERIES = ("survival", "survival_strict", "cdf", "cdf_right", "revenue")
+QUERIES = ("survival", "survival_strict", "revenue")
 
 
 @st.composite
@@ -201,11 +205,11 @@ class TestTailRuleAnswersEveryPrice:
         assert query(price) == rule.survival_fn(k)
         assert query(np.array([1.0, price])).tolist() == [query(1.0), rule.survival_fn(k)]
 
-    @pytest.mark.parametrize("query", ["survival", "survival_strict", "cdf", "cdf_right"])
+    @pytest.mark.parametrize("query", ["survival", "survival_strict"])
     @pytest.mark.parametrize("spec", TAIL_SPECS)
     def test_infinite_price_answers_as_on_every_law(self, spec, query):
         for other in ("uniform01", "finite:1@0.5,2@0.5", spec):
-            assert getattr(parse_dist(other), query)(math.inf) == (0.0 if "survival" in query else 1.0), other
+            assert getattr(parse_dist(other), query)(math.inf) == 0.0, other
 
     def test_revenue_of_a_huge_price_sits_at_the_no_opt_limit(self):
         d = parse_dist("discrete_no_opt:truncation_depth=20")
@@ -372,7 +376,7 @@ class TestSampling:
         n = 50_000
         d = parse_dist(spec)
         table = d.atom_table
-        counts = table.draw_counts(philox(zlib.crc32(spec.encode())), n)
+        [counts] = table.count_rows([philox(zlib.crc32(spec.encode()))], n)
         assert counts.shape == table.values.shape and int(counts.sum()) == n and counts.min() >= 0
         from_values = np.bincount(np.searchsorted(table.values, d.sample(philox(1), n).values), minlength=counts.size)
         for got in (counts, from_values):
@@ -438,12 +442,11 @@ class TestZoo:
         assert pmf.masses[-1] < 1e-12
 
     def test_continuous_quantile_cdf_roundtrip(self):
-        for name in ("uniform01", "regular_no_opt", "regular_no_opt2"):
+        for name, hi in (("uniform01", 1.0), ("regular_no_opt", 20.0), ("regular_no_opt2", 20.0)):
             d = zoo(name).variant
             for u in np.linspace(0.01, 0.99, 25):
                 p = float(np.asarray(d.quantile_fn(u)))
                 assert float(np.asarray(d.cdf_fn(p))) == pytest.approx(u, abs=1e-9), name
-            hi = d.support_upper or 20.0
             for p in np.linspace(hi * 0.01, hi * 0.99, 25):
                 u = float(np.asarray(d.cdf_fn(p)))
                 assert float(np.asarray(d.quantile_fn(u))) == pytest.approx(p, abs=1e-9), name
@@ -526,9 +529,9 @@ ROUNDTRIP_GRID = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 16.0, 1
 @pytest.mark.parametrize("name,keys", ROUNDTRIP_LAWS, ids=[f"{n}-{sorted(k)}" for n, k in ROUNDTRIP_LAWS])
 def test_every_zoo_law_roundtrips_through_json(name, keys):
     d = zoo(name, **keys)
-    back = Distribution.from_dict(json.loads(d.to_json()))
+    back = Distribution.from_dict(json.loads(to_json(d)))
     assert back.label == d.label
-    assert back.to_json() == d.to_json()
+    assert to_json(back) == to_json(d)
     for query in ("survival", "survival_strict"):
         assert getattr(back, query)(ROUNDTRIP_GRID).tobytes() == getattr(d, query)(ROUNDTRIP_GRID).tobytes()
 
@@ -536,25 +539,25 @@ def test_every_zoo_law_roundtrips_through_json(name, keys):
 class TestSerialization:
     def test_finite_roundtrip_value_exact(self):
         d = zoo("finite", points=[(1.0, 0.2), (10.0, 0.79), (1000.0, 0.01)])
-        back = Distribution.from_dict(json.loads(d.to_json()))
+        back = Distribution.from_dict(json.loads(to_json(d)))
         assert np.array_equal(back.variant.values, d.variant.values)
         assert np.array_equal(back.variant.masses, d.variant.masses)
 
     def test_two_point_roundtrip_value_exact(self):
         d = two_point(1.0, 3.0, 2.0)
-        back = Distribution.from_dict(json.loads(d.to_json()))
+        back = Distribution.from_dict(json.loads(to_json(d)))
         assert np.array_equal(back.variant.values, d.variant.values)
         assert np.array_equal(back.variant.masses, d.variant.masses)
 
     def test_tail_rule_roundtrip(self):
         d = zoo("erm_hard", truncation_depth=8)
-        back = Distribution.from_dict(json.loads(d.to_json()))
+        back = Distribution.from_dict(json.loads(to_json(d)))
         assert back.variant.truncation_depth == 8
         assert back.survival(4.0) == d.survival(4.0)
 
     def test_continuous_roundtrip(self):
         d = zoo("uniform01")
-        back = Distribution.from_dict(json.loads(d.to_json()))
+        back = Distribution.from_dict(json.loads(to_json(d)))
         assert back.optimal_revenue().value == pytest.approx(0.25, abs=1e-12)
 
     def test_unknown_variant_refused(self):
@@ -605,7 +608,7 @@ class TestSerialization:
                 Distribution(label="outside", variant=variant).to_dict()
 
     def test_schema_fields(self):
-        doc = json.loads(zoo("erm_hard").to_json())
+        doc = json.loads(to_json(zoo("erm_hard")))
         assert doc["variant"] == "tail_rule"
         assert {"label", "variant", "rule_name", "params", "truncation_depth"} <= set(doc)
 
@@ -646,7 +649,7 @@ class TestParseDist:
 
     def test_json_path(self, tmp_path):
         path = tmp_path / "d.json"
-        path.write_text(two_point(1.0, 3.0, 2.0).to_json())
+        path.write_text(to_json(two_point(1.0, 3.0, 2.0)))
         d = parse_dist(str(path))
         assert np.allclose(d.variant.masses, [1 / 3, 2 / 3])
 

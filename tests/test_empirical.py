@@ -121,18 +121,19 @@ class TestSupCdfDeviation:
 
     def test_matches_brute_force_on_atoms(self):
         rng = philox(9)
-        d = zoo("finite", points=[(1.0, 0.3), (2.0, 0.3), (5.0, 0.4)])
+        atoms, masses = np.array([1.0, 2.0, 5.0]), np.array([0.3, 0.3, 0.4])
+        d = zoo("finite", points=list(zip(atoms, masses)))
         for _ in range(20):
-            vals = np.array([1.0, 2.0, 5.0])[rng.integers(0, 3, size=int(rng.integers(1, 30)))]
+            vals = atoms[rng.integers(0, 3, size=int(rng.integers(1, 30)))]
             e = EmpiricalDist.from_values(vals)
             got = sup_cdf_deviation(e, d)
-            # oracle: scalar scan of both step functions' one-sided limits
-            xs = np.unique(np.concatenate([vals, [1.0, 2.0, 5.0]]))
+            # oracle: scalar scan of both step functions' one-sided limits, F summed from the atom masses
+            xs = np.unique(np.concatenate([vals, atoms]))
             want = 0.0
             for x in xs:
                 for side in ("left", "right"):
                     fn = np.searchsorted(e.sorted_values, x, side=side) / e.n
-                    f = d.cdf(float(x)) if side == "left" else d.cdf_right(float(x))
+                    f = float(masses[atoms < x].sum() if side == "left" else masses[atoms <= x].sum())
                     want = max(want, abs(float(fn) - f))
             assert got == pytest.approx(want, abs=1e-15)
 

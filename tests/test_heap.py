@@ -58,7 +58,7 @@ def on_glibc() -> bool:
 
 
 @pytest.mark.skipif(not on_glibc(), reason="the heap thresholds are set on glibc only")
-@pytest.mark.parametrize("learner", ["erm", "structural"])
+@pytest.mark.parametrize("learner", ["erm", "structural", "capped"])
 def test_decide_on_a_large_sample_does_not_fault_its_arrays_back_in(learner):
     out = subprocess.run([sys.executable, "-c", FAULTS_PER_DECIDE, learner],
                          capture_output=True, text=True, check=True, timeout=120)

@@ -359,6 +359,7 @@ class TestParseLearner:
         ("structural:f=const:", "structural learner: f='const:' needs a finite number after 'const:'"),
         ("capped:g=cube", "capped learner: cannot parse g='cube'"),
         ("const:abc", "const learner: price 'abc' is not a number"),
+        ("cmd:'oops", "cmd learner: cannot split \"'oops\" as a shell would: No closing quotation"),
     ])
     def test_value_that_does_not_parse_names_the_learner_and_the_key(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -368,6 +369,9 @@ class TestParseLearner:
     def test_argument_the_learner_does_not_take(self, spec):
         with pytest.raises(ValueError, match=f"unknown learner spec '{spec}'"):
             parse_learner(spec)
+
+    def test_default_structural_scale_is_the_parsed_quarter_power(self):
+        assert parse_learner("structural") == parse_learner("structural:f=n^-0.25")
 
     def test_capped_custom_power(self):
         # every value is above the cap g(100) = 10, so the cap itself is the price

@@ -32,7 +32,7 @@ def reference_trial_revenues(learner, dist, n, trial_range, base_seed):
     table = dist.atom_table
     if learner.decide_counts is not None and table is not None and table.values.size <= n:
         for i, t in enumerate(trial_range):
-            counts = table.draw_counts(spawned_streams(base_seed, n, t)[0], n)
+            counts = spawned_streams(base_seed, n, t)[0].multinomial(n, table.masses)
             revs[i] = dist.revenue(float(learner.decide_counts(table.values, counts, n)))
         return revs
     for i, t in enumerate(trial_range):
