@@ -19,8 +19,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import _sample_sizes, estimate_gap
+from .curves import _pmf_of, _sample_sizes, estimate_gap
 from .dist import Distribution, FinitePMF, InfeasibleParametersError, tally
+from .empirical import _check_count
 from .learners import Learner
 
 
@@ -64,13 +65,8 @@ class BoundResult:
     quantile_miss_prob: float = 0.0
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be >= {least}, got {value!r} (a whole number)")
-
-
 def _check_sigma(sigma) -> None:
-    if not (isinstance(sigma, numbers.Integral) and sigma in (-1, 1)):
+    if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Integral) and sigma in (-1, 1)):
         raise ValueError(f"sigma must be the integer -1 or +1, got {sigma!r}")
 
 
@@ -392,8 +388,7 @@ def verify_gadget(gp: GadgetParams, dist: Distribution, sigma: int, sweep_side: 
     how the deliberate wrong-side test is run.
     """
     _check_sigma(sigma)
-    if not isinstance(dist.variant, FinitePMF):
-        raise ValueError("verify_gadget's sweep is exact only on finite support")
+    atoms = _pmf_of(dist).values
     g2 = gp.gamma**2
     top = dist.survival_strict(gp.x - g2)  # D((x - gamma^2, 1])
     if not (gp.q - 1e-12 <= top <= gp.q + g2 + 1e-12):
@@ -412,7 +407,6 @@ def verify_gadget(gp: GadgetParams, dist: Distribution, sigma: int, sweep_side: 
     side = sweep_side or ("low" if sigma == -1 else "high")
     if side not in ("low", "high"):
         raise ValueError("sweep_side must be 'low' or 'high'")
-    atoms = dist.variant.values
     # on (v_i, v_{i+1}] revenue is p * Pr[v >= v_{i+1}], which rises with p: atoms and midpoint hold the max
     cand = np.append(atoms[(atoms <= gp.midpoint) if side == "low" else (atoms >= gp.midpoint)], gp.midpoint)
     revs = dist.revenue(cand)

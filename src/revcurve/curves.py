@@ -31,7 +31,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-import numbers
 import pickle
 import sys
 from dataclasses import asdict, dataclass
@@ -41,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import Distribution, FinitePMF
+from .empirical import _check_count
 from .learners import Learner
 from .streams import learner_stream, sample_streams
 # bench/tracing.py imports trial_streams from revcurve.curves
@@ -55,7 +55,7 @@ class GapUndefinedError(ValueError):
 
 
 class InsufficientDataError(ValueError):
-    """Fewer than three positive-signal points left after filtering."""
+    """Fewer than three distinct sample sizes among the positive-signal points left after filtering."""
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,9 @@ def expected_revenue_curve(
     grid = _sample_sizes(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ValueError("sample-size grid must be nonempty and strictly increasing")
-    if not (isinstance(trials, numbers.Integral) and trials >= 2):
-        raise ValueError(f"trials {trials!r} is not an integer >= 2 (a standard error needs 2 trials)")
-    if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
-        raise ValueError(f"base seed {base_seed!r} is not an integer >= 0")
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise ValueError(f"workers must be >= 1, got {workers!r} (a whole number of processes)")
+    _check_count("trials", trials, least=2)  # a standard error needs 2 trials
+    _check_count("base seed", base_seed, least=0)
+    _check_count("workers", workers)
     size = min(workers, trials)
     cuts = [trials * i // size for i in range(size + 1)]
     jobs = [(n, start, stop) for n in grid for start, stop in zip(cuts, cuts[1:])]
@@ -259,10 +256,10 @@ def expected_revenue_curve(
 
 
 def _sample_sizes(grid: Sequence[int]) -> list[int]:
-    """The grid as ints, refusing a sample size that is not a whole number >= 1
-    or does not fit an int64."""
+    """The grid as ints, refusing a sample size that is a bool, not a whole
+    number >= 1 (2.0 is one) or does not fit an int64."""
     for n in grid:
-        if not (n >= 1 and n % 1 == 0):
+        if isinstance(n, bool) or not (n >= 1 and n % 1 == 0):
             raise ValueError(f"sample size {n!r} in the grid is not a whole number >= 1")
         if n >= 2**63:
             raise ValueError(f"sample size {n!r} in the grid does not fit an int64 (it must be below 2^63)")
@@ -280,13 +277,14 @@ def _mean_se(revs: np.ndarray) -> tuple[float, float]:
 # -- rate fits ---------------------------------------------------------------
 
 
-def _fit(curve: LearningCurve, model: str, log_n: bool) -> RateFit:
-    """OLS of log mean_gap on log n (or n) over the positive-signal points."""
+def _fit(curve: LearningCurve, model: str) -> RateFit:
+    """OLS of log mean_gap on log n ("power") or n ("exponential") over the
+    positive-signal points, which must hold at least three distinct n."""
     pts = [p for p in curve.points if p.mean_gap > SIGNAL_SIGMA * p.std_err]
-    if len(pts) < 3:
-        raise InsufficientDataError(f"{model} fit needs >= 3 positive-signal points, have {len(pts)}")
+    if (sizes := len({p.n for p in pts})) < 3:
+        raise InsufficientDataError(f"{model} fit needs positive-signal points at >= 3 distinct sample sizes, have {sizes}")
     x = np.array([p.n for p in pts], dtype=np.float64)
-    x = np.log(x) if log_n else x
+    x = np.log(x) if model == "power" else x
     y = np.log(np.array([p.mean_gap for p in pts]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -297,12 +295,12 @@ def _fit(curve: LearningCurve, model: str, log_n: bool) -> RateFit:
 
 def fit_power(curve: LearningCurve) -> RateFit:
     """OLS of log mean_gap on log n over the positive-signal points."""
-    return _fit(curve, "power", log_n=True)
+    return _fit(curve, "power")
 
 
 def fit_exponential(curve: LearningCurve) -> RateFit:
     """OLS of log mean_gap on n over the positive-signal points."""
-    return _fit(curve, "exponential", log_n=False)
+    return _fit(curve, "exponential")
 
 
 # -- near-optimal-price diagnostics (finite support) --------------------------
@@ -324,8 +322,9 @@ class TEpsResult:
 
 
 def _pmf_of(dist: Distribution) -> FinitePMF:
+    """The law's finite PMF, for the checks that are exact only on finite support."""
     if not isinstance(dist.variant, FinitePMF):
-        raise ValueError("near-optimal-price diagnostics require finite support")
+        raise ValueError(f"{dist.label}: this check is exact only on finite support")
     return dist.variant
 
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .empirical import Sample, _check_prices
+from .empirical import Sample, _check_count, _check_prices
 
 _MASS_TOL = 1e-12
 # budget of the continuous optimum search
@@ -332,8 +332,7 @@ class Distribution:
 
     def sample(self, rng: np.random.Generator, n: int) -> Sample:
         """n i.i.d. draws; identical generator state gives identical output."""
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
+        _check_count("sample size", n)
         return Sample(values=self.variant.draw(rng, n))
 
     @property

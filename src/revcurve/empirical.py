@@ -9,6 +9,7 @@ independent of the strict-vs-weak convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,11 @@ class EmpiricalDist:
             raise ValueError("valuations must be finite")
         return cls(sorted_values=v, n=int(v.size))
 
-    def count_geq(self, p: float) -> int:
-        """Number of sample values >= p."""
-        return self.n - int(np.searchsorted(self.sorted_values, p, side="left"))
-
     def revenue(self, p: float) -> float:
         """Empirical revenue p * #{v_i >= p} / n; a NaN, infinite or negative
         price raises, named in the message."""
         _check_prices(p)
-        return p * self.count_geq(p) / self.n
+        return p * (self.n - int(np.searchsorted(self.sorted_values, p, side="left"))) / self.n
 
 
 def _check_prices(p) -> np.ndarray:
@@ -69,11 +66,16 @@ def _check_prices(p) -> np.ndarray:
     return x
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Refuse a count that is a bool, not an integer, or below least, naming it and its value."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be >= {least}, got {value!r} (a whole number)")
+
+
 def dkw_bound(n: int, eps: float) -> float:
     """DKW tail bound min(1, 2 exp(-2 n eps^2)) on Pr[sup_x |F_n - F| > eps]."""
-    if not n >= 1:  # NaN fails these checks too
-        raise ValueError("n must be >= 1")
-    if not eps > 0.0:
+    _check_count("n", n)
+    if not eps > 0.0:  # NaN fails this check too
         raise ValueError("eps must be positive")
     return min(1.0, 2.0 * math.exp(-2.0 * n * eps * eps))
 

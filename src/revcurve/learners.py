@@ -125,16 +125,13 @@ def _erm_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray]
 
 
 def _capped_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, cap: float):
-    k = int(np.searchsorted(values, cap, side="right"))
-    at_cap = int(np.searchsorted(values, cap, side="left"))  # first value >= cap, drawn or not
-    count_geq = left[..., at_cap] if at_cap < values.size else np.zeros_like(left[..., 0])
-    cap_rev = cap * count_geq / m
-    if k == 0:
-        return np.full(cap_rev.shape, float(cap))[()]
-    rev = _mask(_revenues(values[:k], left[..., :k], m), None if drawn is None else drawn[..., :k])
-    best = np.argmax(rev, axis=-1)
-    # a value at most the cap wins unless the cap itself earns strictly more
-    return np.where(np.take_along_axis(rev, best[..., None], axis=-1)[..., 0] >= cap_rev, values[best], cap)[()]
+    # ERM over the values at most the cap and the cap itself, last, so a value wins a tie;
+    # the cap's left count is that of the first value >= cap, drawn or not (0 past the row)
+    k, at_cap = int(np.searchsorted(values, cap, side="right")), int(np.searchsorted(values, cap, side="left"))
+    cap_left = left[..., at_cap : at_cap + 1] if at_cap < values.size else np.zeros_like(left[..., :1])
+    if drawn is not None:
+        drawn = np.concatenate([drawn[..., :k], np.ones_like(drawn[..., :1])], axis=-1)
+    return _erm_price(np.append(values[:k], cap), np.concatenate([left[..., :k], cap_left], axis=-1), drawn, m)
 
 
 def _structural_price(values: np.ndarray, left: np.ndarray, drawn: Optional[np.ndarray], m: int, fn: float):

@@ -490,6 +490,14 @@ class TestCoinAndFit:
         code, _, _ = run_cli(["fit", "--csv", str(path), "--model", "power"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["power", "exponential", "both"])
+    def test_fit_on_rows_that_share_one_n_exit_2(self, model, tmp_path, capsys):
+        # three positive-signal points, but a slope needs three distinct sample sizes
+        path = tmp_path / "c.csv"
+        path.write_text("n,trials,mean_gap,std_err,seed\n" + "".join(f"100,50,{g!r},0.001,0\n" for g in (0.1, 0.2, 0.3)))
+        code, out, err = run_cli(["fit", "--csv", str(path), "--model", model], capsys)
+        assert code == 2 and out == "" and ">= 3 distinct sample sizes, have 1" in err
+
     def test_fit_on_an_unreadable_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "absent" / "c.csv"
         code, _, err = run_cli(["fit", "--csv", str(path)], capsys)
@@ -532,7 +540,7 @@ class TestDeclaredFlags:
         assert code == 2 and "workers must be >= 1" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid,trials,msg", [("0,10", "5", "sample size 0"), ("1,10", "1", "2 trials")])
+    @pytest.mark.parametrize("grid,trials,msg", [("0,10", "5", "sample size 0"), ("1,10", "1", "trials must be >= 2, got 1")])
     def test_bad_curve_input_exit_2_before_out(self, grid, trials, msg, tmp_path, capsys):
         out = tmp_path / "d"
         code, _, err = run_cli(

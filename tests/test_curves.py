@@ -415,14 +415,14 @@ class TestLearningCurve:
             ([], 10, "grid"),
             ([100, 10], 10, "grid"),
             ([10, 10], 10, "grid"),
-            ([10, 100], 1, "2 trials"),
+            ([10, 100], 1, "trials must be >= 2, got 1 "),
             ([0, 10], 10, "sample size 0 "),
             ([-1, 10], 10, "sample size -1 "),
             ([2.5, 10], 10, "sample size 2.5 "),
             ([10, 2**63], 10, "sample size 9223372036854775808 .*int64"),
             ([10, 1e22], 10, r"sample size 1e\+22 .*int64"),
             ([10, 100], 2.5, "trials"),
-            ([10, 100], 4.0, "trials 4.0 "),
+            ([10, 100], 4.0, "trials must be >= 2, got 4.0 "),
         ],
     )
     def test_inputs_validated(self, fn, grid, trials, match):
@@ -432,7 +432,7 @@ class TestLearningCurve:
     @pytest.mark.parametrize("seed", [1.5, -1])
     @pytest.mark.parametrize("law", ["erm_hard", "uniform01"])  # the count door and the sample door
     def test_seed_negative_or_not_an_integer_refused(self, law, seed):
-        with pytest.raises(ValueError, match=f"base seed {seed!r} "):
+        with pytest.raises(ValueError, match=f"base seed must be >= 0, got {seed!r} "):
             estimate_gap(make_erm(), zoo(law), n=64, trials=50, base_seed=seed)
 
     @pytest.mark.parametrize("workers", [0, -2, 2.5])
@@ -539,6 +539,13 @@ class TestFits:
         )
         with pytest.raises(InsufficientDataError):
             fit_power(LearningCurve("s", "s", pts, 0))
+
+    @pytest.mark.parametrize("fit", [fit_power, fit_exponential])
+    @pytest.mark.parametrize("ns,distinct", [([100, 100, 100], 1), ([10, 10, 100, 100], 2)])
+    def test_repeated_sample_sizes_count_once(self, fit, ns, distinct):
+        curve = synthetic_curve(ns, [0.1 * (i + 1) for i in range(len(ns))])
+        with pytest.raises(InsufficientDataError, match=f">= 3 distinct sample sizes, have {distinct}$"):
+            fit(curve)
 
     def test_uniform_erm_slope_near_half_or_steeper(self):
         curve = learning_curve(make_erm(), zoo("uniform01"), [100, 1000, 10000], trials=800, base_seed=10)

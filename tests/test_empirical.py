@@ -1,10 +1,24 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from revcurve.adversary import (
+    ProbeConfig,
+    bound_learner_output,
+    build_slow_rate_distribution,
+    coin_game,
+    exp_lb_witness,
+    gadget_member,
+    monotone_envelope,
+    uniform_gadget,
+    verify_gadget,
+)
+from revcurve.curves import estimate_gap, expected_revenue_curve, learning_curve
 from revcurve.dist import parse_dist, zoo
 from revcurve.empirical import EmpiricalDist, Sample, dkw_bound, sup_cdf_deviation
+from revcurve.learners import make_erm
 
 
 def philox(seed):
@@ -106,6 +120,64 @@ class TestDKWBound:
             dkw_bound(10, math.nan)
         with pytest.raises(ValueError, match="n must be >= 1"):
             dkw_bound(math.nan, 0.1)
+
+
+def _gadget():
+    gp = uniform_gadget(1.0, 0.5, 0.05)
+    return gp, gadget_member(gp, 1)
+
+
+# every door that takes a count refuses a bool and a non-integer by one rule (bool
+# is a numbers.Integral, so an isinstance check alone would let True and False through)
+COUNT_DOORS = [
+    ("workers", "workers must be >= 1, got True", lambda: learning_curve(
+        make_erm(), zoo("uniform01"), [10, 20], trials=4, base_seed=1, workers=True)),
+    ("seed-True", "base seed must be >= 0, got True", lambda: expected_revenue_curve(
+        make_erm(), zoo("erm_hard"), [10, 20], trials=4, base_seed=True)),
+    ("seed-False", "base seed must be >= 0, got False", lambda: estimate_gap(
+        make_erm(), zoo("uniform01"), n=10, trials=4, base_seed=False)),
+    ("grid-curve", "sample size True in the grid", lambda: learning_curve(
+        make_erm(), zoo("uniform01"), [True, 2], trials=4, base_seed=1)),
+    ("grid-witness", "sample size True in the grid", lambda: exp_lb_witness(
+        make_erm(), 1.0, 3.0, 2.0, [True, 2], trials=1)),
+    ("probe-trials", "trials_per_dataset must be >= 1, got True", lambda: ProbeConfig(trials_per_dataset=True)),
+    ("probe-budget", "max_datasets_per_level must be >= 1, got True", lambda: ProbeConfig(max_datasets_per_level=True)),
+    ("horizon", "horizon must be >= 1, got True", lambda: monotone_envelope(lambda j: 1.0 / j, True)),
+    ("member-sigma", "sigma must be the integer -1 or +1, got True", lambda: gadget_member(_gadget()[0], True)),
+    ("verify-sigma", "sigma must be the integer -1 or +1, got True", lambda: verify_gadget(*_gadget(), True)),
+    ("bound-trials", "probe trials must be >= 1, got True", lambda: bound_learner_output(
+        make_erm(), np.array([1.0, 2.0]), 0.5, trials=True)),
+    ("coin-trials", "trials must be >= 1, got True", lambda: coin_game(
+        0.3, 0.05, 4.0, trials=True, rng=philox(0))),
+    ("sample-2.5", "sample size must be >= 1, got 2.5", lambda: zoo("uniform01").sample(philox(0), 2.5)),
+    ("sample-3.0", "sample size must be >= 1, got 3.0", lambda: zoo("erm_hard").sample(philox(0), 3.0)),
+    ("sample-True", "sample size must be >= 1, got True", lambda: zoo("uniform01").sample(philox(0), True)),
+    ("dkw-True", "n must be >= 1, got True", lambda: dkw_bound(True, 0.1)),
+    ("dkw-2.5", "n must be >= 1, got 2.5", lambda: dkw_bound(2.5, 0.1)),
+]
+
+
+@pytest.mark.parametrize("call,match", [(c, m) for _, m, c in COUNT_DOORS], ids=[i for i, _, _ in COUNT_DOORS])
+def test_a_count_refuses_bool_and_non_integers_by_name(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        call()
+
+
+def test_numpy_integer_counts_run_as_their_python_ints():
+    d = zoo("erm_hard")
+    plain = expected_revenue_curve(make_erm(), d, [10, 20], trials=6, base_seed=5, workers=1)
+    assert expected_revenue_curve(
+        make_erm(), d, np.array([10, 20]), trials=np.int64(6), base_seed=np.uint64(5), workers=np.int64(1)
+    ) == plain
+    (law, con), (law_int, con_int) = (
+        build_slow_rate_distribution(make_erm(), lambda j: 1.0 / j, depth) for depth in (np.int64(4), 4)
+    )
+    assert law.to_dict() == law_int.to_dict() and con.to_dict() == con_int.to_dict()
+    gp = uniform_gadget(1.0, 0.5, 0.05)
+    member = gadget_member(gp, np.int64(-1))
+    assert member.to_dict() == gadget_member(gp, -1).to_dict()
+    assert verify_gadget(gp, member, np.int64(-1)) == verify_gadget(gp, member, -1)
+    assert np.array_equal(zoo("uniform01").sample(philox(3), np.int64(5)).values, zoo("uniform01").sample(philox(3), 5).values)
 
 
 class TestSupCdfDeviation:
